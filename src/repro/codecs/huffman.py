@@ -18,15 +18,22 @@ Design notes
 * **Vectorized encode.**  Symbols are mapped to (code, length) arrays
   and the bitstream is emitted with one NumPy pass (per-bit expansion
   driven by ``np.repeat``), no per-symbol Python loop.
-* **Chunked speculative decode.**  The bitstream is cut into
-  fixed-width chunks that are decoded speculatively in lockstep -- one
-  vectorized table gather per round across all chunks.  Huffman codes
-  self-synchronize, so each chunk's speculative chain converges onto
-  the true symbol chain within a few symbols; a sequential merge pass
-  stitches the chains together by binary-searching each chunk's entry
-  position.  Short streams fall back to the scalar cursor loop
-  (:func:`_decode_scalar`), which doubles as the differential-test
-  oracle.  Decode tables are built once per table instance and cached.
+* **Two decoders, chosen by symbol count.**  Below
+  :data:`_JUMP_CUTOFF` symbols (every store chunk) a pointer-jumping
+  decoder (:func:`_decode_jump`) works one bounded window of bits at a
+  time: one table gather gives every bit position its successor, a
+  few doubling levels ``nxt = nxt[nxt]`` plus a short scalar walk
+  list the true symbol chain, and the next window starts where the
+  chain leaves this one.  Its cost follows the number of bits, not
+  the number of symbols per round, and a 16^3 chunk fits in one
+  window.  From the cutoff on, the chunked speculative decoder
+  (:func:`_decode_vectorized`) runs instead: the bitstream is cut into
+  fixed-width chunks decoded speculatively in lockstep; Huffman codes
+  self-synchronize, so each chunk's chain converges onto the true one
+  within a few symbols, and a merge pass stitches the chains
+  together.  The scalar cursor loop (:func:`_decode_scalar`) is the
+  differential-test oracle for both.  Decode tables are built with
+  one ``np.repeat`` per table instance and cached.
 """
 
 from __future__ import annotations
@@ -49,9 +56,20 @@ __all__ = ["HuffmanTable", "huffman_encode", "huffman_decode", "MAX_CODE_LENGTH"
 #: Hard cap on codeword length; the flat decode table has 2**len entries.
 MAX_CODE_LENGTH = 20
 
-#: Below this many symbols the scalar cursor loop wins (chunk
-#: bookkeeping in the speculative decoder would dominate).
-_SCALAR_CUTOFF = 1024
+#: Symbol count from which the chunked speculative decoder runs instead
+#: of the pointer-jumping one: the largest power of two at which the
+#: jump decoder was no slower on any measured SZ residual stream (its
+#: work follows the bit count; speculative rounds amortize better on
+#: long, high-entropy streams).
+_JUMP_CUTOFF = 1 << 16
+
+#: Bits per pointer-jumping window: a whole 16^3 SZ chunk fits in one,
+#: and it bounds the decoder's working memory.
+_WINDOW_BITS = 1 << 16
+
+#: Window bits per scalar step of the jump decoder's skeleton walk: one
+#: step costs about as much as a gather over this many elements.
+_BITS_PER_STEP = 256
 
 #: Target symbols per speculative chunk: sets the gather width
 #: (``~n/256`` chunks per round) against the per-round Python overhead.
@@ -298,40 +316,46 @@ class HuffmanTable:
 
     # -- decode table ----------------------------------------------------
 
-    def decode_tables(
-            self) -> tuple[NDArray[np.int64], NDArray[np.int64], int]:
+    def decode_tables(self) -> tuple[NDArray[Any], NDArray[np.uint8], int]:
         """Flat decode tables ``(symbol_at, length_at, L)``.
 
         Indexing either table with the next ``L`` stream bits (as an
-        integer) yields the decoded symbol and its true code length.
-        Built once per table instance and cached: the tables are
-        ``2**L`` entries, and multi-section decodes reuse them.
+        integer) yields the decoded symbol and its true code length; a
+        length of 0 marks a window no codeword starts.  The tables hold
+        the narrowest unsigned dtypes that fit.  Built once per table
+        instance and cached: the tables are ``2**L`` entries, and
+        multi-section decodes reuse them.
+
+        Canonical codes taken in (length, symbol) order fill
+        consecutive ``2**(L - len)`` ranges of the window space from 0,
+        so both tables are one ``np.repeat`` each; the tail past the
+        Kraft sum stays 0.
         """
         cached = self.__dict__.get("_decode_cache")
         if cached is not None:
-            return cast(
-                "tuple[NDArray[np.int64], NDArray[np.int64], int]", cached
-            )
+            return cast("tuple[NDArray[Any], NDArray[np.uint8], int]", cached)
         L = self.max_length
         if L > 32:
             raise CodecError(
                 f"code length {L} exceeds the 32-bit decode-window cap"
             )
-        if L == 0:
-            tables = (np.zeros(1, dtype=np.int64),
-                      np.zeros(1, dtype=np.int64), 0)
-        else:
-            sym_tab = np.zeros(1 << L, dtype=np.int64)
-            len_tab = np.zeros(1 << L, dtype=np.int64)
-            for s in np.flatnonzero(self.lengths):
-                ln = int(self.lengths[s])
-                base = int(self.codes[s]) << (L - ln)
-                width = 1 << (L - ln)
-                sym_tab[base : base + width] = s
-                len_tab[base : base + width] = ln
-            sym_tab.setflags(write=False)
-            len_tab.setflags(write=False)
-            tables = (sym_tab, len_tab, L)
+        sym_dtype = np.min_scalar_type(max(self.alphabet_size - 1, 0))
+        used = np.flatnonzero(self.lengths)
+        # Canonical order: by length, ties by symbol (a stable sort).
+        used = used[np.argsort(self.lengths[used], kind="stable")]
+        lens = self.lengths[used]
+        widths = 1 << (L - lens)
+        total = int(widths.sum())
+        if total > 1 << L:
+            raise CodecError(
+                "canonical code construction overflowed: bad lengths")
+        sym_tab = np.zeros(1 << L, dtype=sym_dtype)
+        len_tab = np.zeros(1 << L, dtype=np.uint8)
+        sym_tab[:total] = np.repeat(used.astype(sym_dtype), widths)
+        len_tab[:total] = np.repeat(lens.astype(np.uint8), widths)
+        sym_tab.setflags(write=False)
+        len_tab.setflags(write=False)
+        tables = (sym_tab, len_tab, L)
         object.__setattr__(self, "_decode_cache", tables)
         return tables
 
@@ -372,15 +396,16 @@ def huffman_encode(symbols: NDArray[Any], table: HuffmanTable) -> bytes:
 
 
 def _decode_scalar(buf: NDArray[np.uint8], n: int,
-                   sym_tab: NDArray[np.int64], len_tab: NDArray[np.int64],
+                   sym_tab: NDArray[Any], len_tab: NDArray[np.uint8],
                    L: int) -> tuple[NDArray[np.int64], int]:
     """Reference decode: per-offset table gather + Python cursor loop.
 
     For every bit offset we precompute, via the flat table, the
     (symbol, length) a decode starting there would produce; following
     the chain of offsets is then a tight loop over plain Python lists.
-    Used for short streams and as the differential-test oracle for
-    :func:`_decode_vectorized`.  Returns ``(symbols, end_cursor)``.
+    Not on the runtime path: it is the differential-test oracle for
+    :func:`_decode_jump` and :func:`_decode_vectorized`.  Returns
+    ``(symbols, end_cursor)``.
     """
     bits = np.unpackbits(buf)
     nb = bits.size
@@ -404,9 +429,108 @@ def _decode_scalar(buf: NDArray[np.uint8], n: int,
     return np.asarray(out, dtype=np.int64), cursor
 
 
+def _byte_words(buf: NDArray[np.uint8],
+                L: int) -> tuple[NDArray[Any], int]:
+    """Big-endian words at every byte offset of ``buf``, zero padded.
+
+    Returns ``(words, word_bits)`` with ``buf.size + 1`` words; the
+    L-bit window at bit ``t`` is
+    ``(words[t >> 3] << (t & 7)) >> (word_bits - L)`` in the word
+    dtype.  A 32-bit word holds any L <= 25 window (25 = 32 - 7 shift
+    slack), which covers the default MAX_CODE_LENGTH; wider codes use
+    64-bit words.
+    """
+    word_bits = 32 if L <= 25 else 64
+    nbytes = int(buf.size)
+    padded = np.zeros(nbytes + word_bits // 8, dtype=np.uint8)
+    padded[:nbytes] = buf
+    # One big-endian word view per byte offset (overlapping, stride 1).
+    view = np.ndarray((nbytes + 1,), dtype=f">u{word_bits // 8}",
+                      buffer=padded, strides=(1,))
+    return view.astype(view.dtype.newbyteorder("=")), word_bits
+
+
+def _decode_jump(buf: NDArray[np.uint8], n: int, sym_tab: NDArray[Any],
+                 len_tab: NDArray[np.uint8],
+                 L: int) -> tuple[NDArray[np.int64], int]:
+    """Pointer-jumping decode, one bounded window of bits at a time.
+
+    Inside a window of at most :data:`_WINDOW_BITS` bits, every bit
+    position ``t`` gets its successor ``nxt[t] = t + len(window at
+    t)`` in one table gather.  A jump past the window goes to an
+    absorbing sink (index ``width``); an invalid codeword (length 0)
+    points at itself, so a chain that reaches one stays there.  ``J``
+    doubling levels ``nxt = nxt[nxt]`` give the ``2**J``-th successor;
+    a scalar walk over that level from the window's entry yields every
+    ``2**J``-th chain position, and ``J`` interleaving steps, top
+    level first, fill in the rest.  The chain never decreases, so one
+    ``searchsorted`` finds where it leaves the window, and its last
+    in-window position is either an invalid codeword or the jump to
+    the next window's entry.  Cost per window: about ``2J`` numpy
+    calls and ``O(width * J)`` element work, with working memory
+    bounded by the window, not by ``n``.  Returns
+    ``(symbols, end_cursor)``.
+    """
+    words, word_bits = _byte_words(buf, L)
+    wdt = words.dtype.type
+    down = wdt(word_bits - L)
+    shifts = np.arange(8, dtype=wdt)
+    nbytes = int(buf.size)
+    out = np.empty(n, dtype=np.int64)
+    filled = 0
+    t = 0
+    while filled < n:
+        if t >= nbytes * 8:
+            raise CodecError("Huffman bitstream underrun")
+        need = n - filled
+        b0 = t >> 3
+        # The chain of ``need`` symbols from t stays below
+        # t + (need - 1) * L + 1, so no window need reach past that.
+        b1 = min(nbytes, b0 + min(_WINDOW_BITS, need * L + 15) // 8)
+        base, width = b0 * 8, (b1 - b0) * 8
+        win = ((words[b0:b1, None] << shifts) >> down).reshape(-1)
+        ln = np.take(len_tab, win)
+        nxt = np.empty(width + 1, dtype=np.intp)
+        np.add(np.arange(width, dtype=np.intp), ln, out=nxt[:width])
+        nxt[width] = width
+        np.minimum(nxt, width, out=nxt)
+        cap = min(need, width)
+        # The scalar walk takes the place of the top doubling levels,
+        # each a gather over the whole window: it is kept to about
+        # width / _BITS_PER_STEP steps.
+        J = max(0, (cap - 1).bit_length()
+                - (width // _BITS_PER_STEP).bit_length())
+        levels: list[NDArray[np.intp]] = [nxt]
+        for _ in range(J):
+            levels.append(np.take(levels[-1], levels[-1]))
+        top = levels[J]
+        p = t - base
+        skeleton = [p]
+        for _ in range((cap - 1) >> J):
+            p = int(top[p])
+            skeleton.append(p)
+            if p == width:
+                break
+        chain: NDArray[np.intp] = np.array(skeleton, dtype=np.intp)
+        for lv in reversed(levels[:J]):
+            pair = np.empty(2 * chain.size, dtype=np.intp)
+            pair[0::2] = chain
+            np.take(lv, chain, out=pair[1::2])
+            chain = pair
+        chain = chain[:cap]
+        m = int(np.searchsorted(chain, width))
+        last = int(chain[m - 1])
+        step = int(ln[last])
+        if step == 0:
+            raise CodecError("invalid codeword in Huffman bitstream")
+        out[filled : filled + m] = np.take(sym_tab, np.take(win, chain[:m]))
+        filled += m
+        t = base + last + step
+    return out, t
+
+
 def _decode_vectorized(buf: NDArray[np.uint8], n: int,
-                       sym_tab: NDArray[np.int64],
-                       len_tab: NDArray[np.int64],
+                       sym_tab: NDArray[Any], len_tab: NDArray[np.uint8],
                        L: int) -> tuple[NDArray[np.int64], int]:
     """Chunked speculative decode (see module docstring).
 
@@ -423,23 +547,9 @@ def _decode_vectorized(buf: NDArray[np.uint8], n: int,
     single symbols until the chains merge.  Returns
     ``(symbols, end_cursor)``.
     """
-    nbytes_buf = int(buf.size)
-    nb = nbytes_buf * 8
-    # win[i] = the word starting at byte offset i, big-endian (zero
-    # padded), so the L-bit window at bit t is
-    # ``(win[t>>3] << (t&7)) >> (word_bits - L)``.  A 32-bit word holds
-    # any L <= 25 window (25 = 32 - 7 shift slack), which covers the
-    # default MAX_CODE_LENGTH; wider codes fall back to 64-bit words.
-    if L <= 25:
-        wdt, word_bits, passes = np.uint32, 32, 4
-    else:
-        wdt, word_bits, passes = np.uint64, 64, 8
-    padded = np.zeros(nbytes_buf + passes, dtype=np.uint8)
-    padded[:nbytes_buf] = buf
-    w64 = np.zeros(nbytes_buf + 1, dtype=wdt)
-    for j in range(passes):
-        w64 |= (padded[j : j + nbytes_buf + 1].astype(wdt)
-                << wdt(word_bits - 8 - 8 * j))
+    nb = int(buf.size) * 8
+    w64, word_bits = _byte_words(buf, L)
+    wdt = w64.dtype.type
     down = wdt(word_bits - L)
     wmask = (1 << word_bits) - 1
 
@@ -588,7 +698,7 @@ def _decode_vectorized(buf: NDArray[np.uint8], n: int,
     w = ((int(w64[last >> 3]) << (last & 7)) & wmask) >> (word_bits - L)
     cursor = last + int(len_tab[w])
     wv = (w64[out_pos >> 3] << (out_pos & 7).astype(wdt)) >> down
-    return sym_tab[wv], cursor
+    return sym_tab[wv].astype(np.int64), cursor
 
 
 def huffman_decode(data: bytes, table: HuffmanTable,
@@ -603,20 +713,27 @@ def huffman_decode(data: bytes, table: HuffmanTable,
         return np.zeros(0, dtype=np.int64), pos
     counter_add("huffman.decode.symbols", n)
     observe("huffman.decode.symbols_per_call", n, lo=1.0, hi=1e9)
-    with span("huffman.decode", n_symbols=n) as sp:
+    path = "jump" if n < _JUMP_CUTOFF else "speculative"
+    with span("huffman.decode", n_symbols=n, path=path) as sp:
         sym_tab, len_tab, L = table.decode_tables()
         if L == 0:
             raise CodecError("cannot decode with an empty Huffman table")
         buf = np.frombuffer(data, dtype=np.uint8, offset=pos)
         if buf.size < 1:
             raise CodecError("empty Huffman bitstream")
+        # Every codeword is at least one bit: refuse a count the payload
+        # cannot hold before anything is sized by it.
+        if n > 8 * buf.size:
+            raise CodecError(
+                f"Huffman bitstream underrun: header claims {n} symbols "
+                f"but only {buf.size} payload bytes follow")
         # n symbols consume at most n*L bits; clip multi-section buffers
         # so decode work can't spill into later sections.
         max_bytes = (n * L + 7) // 8
         if buf.size > max_bytes:
             buf = buf[:max_bytes]
-        if n < _SCALAR_CUTOFF:
-            out, cursor = _decode_scalar(buf, n, sym_tab, len_tab, L)
+        if path == "jump":
+            out, cursor = _decode_jump(buf, n, sym_tab, len_tab, L)
         else:
             out, cursor = _decode_vectorized(buf, n, sym_tab, len_tab, L)
         nbytes = (cursor + 7) // 8

@@ -1,12 +1,16 @@
-"""Differential tests pinning the PR-2 fast paths to reference behavior.
+"""Differential tests pinning the fast paths to reference behavior.
 
 Every rewritten hot path is checked bit-/byte-identical against its
 pre-rewrite reference over the same seeded shape families used by
 ``test_property_seeded.py``:
 
-* ``huffman_decode`` (chunked speculative) vs. the scalar cursor loop
-  (kept in the module as ``_decode_scalar``), including cursor/
-  ``next_offset`` and error-message parity on corrupt streams;
+* ``huffman_decode`` (pointer-jumping below ``_JUMP_CUTOFF`` symbols,
+  chunked speculative from it on) vs. the scalar cursor loop (kept in
+  the module as ``_decode_scalar``), including cursor/``next_offset``
+  and error-message parity on corrupt streams, chains that cross a
+  jump window, and code lengths from 1 to 32;
+* the ``np.repeat`` decode-table build vs. the per-symbol loop it
+  replaced;
 * the vectorized ``_canonical_codes`` vs. the original incremental
   loop (``_canonical_codes_ref``);
 * the packed-accumulator ``BitWriter`` vs. a verbatim copy of the old
@@ -20,18 +24,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.codecs import huffman
 from repro.codecs.bitio import BitWriter
 from repro.codecs.huffman import (
     HuffmanTable,
     _canonical_codes,
     _canonical_codes_ref,
+    _decode_jump,
     _decode_scalar,
-    _SCALAR_CUTOFF,
+    _decode_vectorized,
+    _JUMP_CUTOFF,
     huffman_decode,
     huffman_encode,
 )
-from repro.codecs.varint import decode_uvarint
+from repro.codecs.varint import decode_uvarint, encode_uvarint
 from repro.errors import CodecError
+from repro.observability import Tracer, use_tracer
 
 SEEDS = range(10)
 
@@ -51,18 +59,51 @@ def _decode_reference(blob: bytes, table: HuffmanTable, offset: int = 0):
     return out, pos + (cursor + 7) // 8
 
 
+def _decoder_args(blob: bytes, table: HuffmanTable):
+    """``(buf, n, sym_tab, len_tab, L)`` exactly as ``huffman_decode``
+    hands them to a decoder (buffer clipped to ``n * L`` bits)."""
+    sym_tab, len_tab, L = table.decode_tables()
+    n, pos = decode_uvarint(blob)
+    buf = np.frombuffer(blob, dtype=np.uint8, offset=pos)
+    return buf[: (n * L + 7) // 8], n, sym_tab, len_tab, L
+
+
+def _all_decoders(blob: bytes, table: HuffmanTable):
+    """Result or error message of the oracle and both runtime paths."""
+    args = _decoder_args(blob, table)
+    results = []
+    for decode in (_decode_scalar, _decode_jump, _decode_vectorized):
+        try:
+            results.append(decode(*args))
+        except CodecError as exc:
+            results.append(str(exc))
+    return results
+
+
+def _assert_same(results) -> None:
+    ref = results[0]
+    for got in results[1:]:
+        if isinstance(ref, str):
+            assert got == ref
+        else:
+            assert not isinstance(got, str), got
+            np.testing.assert_array_equal(got[0], ref[0])
+            assert got[0].dtype == np.int64
+            assert got[1] == ref[1]
+
+
 # -- huffman decode ---------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_huffman_decode_matches_scalar_seeded(seed):
-    """Vectorized decode == scalar decode, bit for bit, cursor included."""
+    """Runtime decode == scalar decode, bit for bit, cursor included."""
     rng = np.random.default_rng(8000 + seed)
     for _ in range(6):
         alphabet = int(rng.integers(2, 300))
-        # Straddle _SCALAR_CUTOFF so both dispatcher branches and the
+        # Straddle _JUMP_CUTOFF so both dispatcher branches and the
         # chunked phases (S >= 2) are exercised.
-        n = int(rng.integers(0, 4 * _SCALAR_CUTOFF))
+        n = int(rng.integers(0, 4 * _JUMP_CUTOFF))
         if rng.random() < 0.5:
             p = 1.0 / np.arange(1, alphabet + 1)
             symbols = rng.choice(alphabet, size=n, p=p / p.sum())
@@ -84,7 +125,8 @@ def test_huffman_decode_matches_scalar_sections():
     table_syms = rng.integers(0, 40, size=5000).astype(np.int64)
     table = HuffmanTable.from_symbols(table_syms, alphabet_size=40)
     parts = [rng.integers(0, 40, size=int(m)).astype(np.int64)
-             for m in (3000, 17, 0, 2500)]
+             for m in (3000, 17, 0, 2500, _JUMP_CUTOFF + 3,
+                       _JUMP_CUTOFF - 3)]
     stream = b"".join(huffman_encode(p, table) for p in parts)
     pos = ref_pos = 0
     for part in parts:
@@ -97,8 +139,11 @@ def test_huffman_decode_matches_scalar_sections():
     assert pos == len(stream)
 
 
-@pytest.mark.parametrize("n", [0, 1, _SCALAR_CUTOFF - 1, _SCALAR_CUTOFF,
-                               _SCALAR_CUTOFF + 1, 3 * _SCALAR_CUTOFF + 7])
+# Chunk-sized counts first (one jump window), then the crossover
+# straddle and a multi-chunk speculative decode.
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025, 3079,
+                               _JUMP_CUTOFF - 1, _JUMP_CUTOFF,
+                               _JUMP_CUTOFF + 1, 3 * _JUMP_CUTOFF + 7])
 def test_huffman_decode_cutoff_boundary(n):
     rng = np.random.default_rng(n)
     symbols = rng.integers(0, 11, size=n).astype(np.int64)
@@ -107,6 +152,8 @@ def test_huffman_decode_cutoff_boundary(n):
     got, pos = huffman_decode(blob, table)
     np.testing.assert_array_equal(got, symbols)
     assert pos == len(blob)
+    if n:
+        _assert_same(_all_decoders(blob, table))
 
 
 def test_huffman_decode_single_symbol_alphabet_large_n():
@@ -119,7 +166,7 @@ def test_huffman_decode_single_symbol_alphabet_large_n():
     assert pos == len(blob)
 
 
-@pytest.mark.parametrize("n", [10, 2 * _SCALAR_CUTOFF])
+@pytest.mark.parametrize("n", [10, 2048, 2 * _JUMP_CUTOFF])
 def test_huffman_decode_underrun_error_parity(n):
     """A truncated stream raises the same error from both decoders."""
     rng = np.random.default_rng(5)
@@ -133,7 +180,7 @@ def test_huffman_decode_underrun_error_parity(n):
         _decode_reference(truncated, table)
 
 
-@pytest.mark.parametrize("n", [10, 2 * _SCALAR_CUTOFF])
+@pytest.mark.parametrize("n", [10, 2048, 2 * _JUMP_CUTOFF])
 def test_huffman_decode_invalid_codeword_error_parity(n):
     """An all-ones stream hits an unused slot in a sparse code."""
     # Two used symbols of a 256-symbol alphabet leave invalid windows.
@@ -168,6 +215,136 @@ def test_huffman_decode_empty_table_and_stream_errors():
         huffman_decode(b"\x05", real)  # count=5, zero payload bytes
 
 
+@pytest.mark.parametrize("window", [8, 16, 24, 40, 256, 4096])
+@pytest.mark.parametrize("seed", range(4))
+def test_jump_window_boundaries_match_scalar(monkeypatch, window, seed):
+    """Tiny windows force chains (and codewords) across many window
+    boundaries; every one must be stitched exactly."""
+    monkeypatch.setattr(huffman, "_WINDOW_BITS", window)
+    rng = np.random.default_rng(100 * window + seed)
+    alphabet = int(rng.integers(2, 300))
+    n = int(rng.integers(1, 3000))
+    p = 1.0 / np.arange(1, alphabet + 1)
+    symbols = rng.choice(alphabet, size=n, p=p / p.sum()).astype(np.int64)
+    table = HuffmanTable.from_symbols(symbols, alphabet_size=alphabet)
+    blob = huffman_encode(symbols, table)
+    got, cursor = _decode_jump(*_decoder_args(blob, table))
+    ref, ref_cursor = _decode_scalar(*_decoder_args(blob, table))
+    np.testing.assert_array_equal(got, ref)
+    np.testing.assert_array_equal(got, symbols)
+    assert cursor == ref_cursor
+
+
+def test_jump_codeword_straddles_real_window_boundary():
+    """3-bit codewords: the one at bit 65535 straddles the first
+    65536-bit window, and the chain continues in the second."""
+    assert huffman._WINDOW_BITS % 3 != 0
+    lengths = np.full(8, 3, dtype=np.int64)
+    table = HuffmanTable(lengths=lengths, codes=_canonical_codes(lengths))
+    n = huffman._WINDOW_BITS // 3 + 500
+    symbols = np.random.default_rng(1).integers(0, 8, size=n)
+    blob = huffman_encode(symbols, table)
+    got, pos = huffman_decode(blob, table)
+    np.testing.assert_array_equal(got, symbols)
+    assert pos == len(blob)
+    _assert_same(_all_decoders(blob, table))
+
+
+@pytest.mark.parametrize("L", [1, 12, 20, 25, 26, 27, 28, 29, 30, 31, 32])
+def test_decoders_match_scalar_across_code_lengths(L):
+    """L <= 25 reads 32-bit words; L = 26..32 the 64-bit word path.
+
+    Long codes keep the Kraft sum sparse (lengths ``L-6 .. L``) so the
+    ``2**L`` tables stay lazily zeroed pages; short ones use a complete
+    code with every length from 1 to L.
+    """
+    rng = np.random.default_rng(L)
+    if L <= 25:
+        lengths = np.array(list(range(1, L)) + [L, L], dtype=np.int64)
+    else:
+        lengths = np.array([L - 6, L - 4, L - 2, L, L], dtype=np.int64)
+    table = HuffmanTable(lengths=lengths, codes=_canonical_codes(lengths))
+    assert table.max_length == L
+    k = table.alphabet_size
+    symbols = rng.integers(0, k, size=700).astype(np.int64)
+    blob = huffman_encode(symbols, table)
+    results = _all_decoders(blob, table)
+    _assert_same(results)
+    np.testing.assert_array_equal(results[0][0], symbols)
+    got, pos = huffman_decode(blob, table)
+    np.testing.assert_array_equal(got, symbols)
+    assert pos == len(blob)
+
+
+def _half_code_stream(n: int):
+    """9-bit codes for 256 symbols: Kraft sum 1/2, so any window whose
+    first bit is 1 is an invalid codeword."""
+    lengths = np.full(256, 9, dtype=np.int64)
+    table = HuffmanTable(lengths=lengths, codes=_canonical_codes(lengths))
+    symbols = np.random.default_rng(n).integers(0, 256, size=n)
+    return table, huffman_encode(symbols, table)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_jump_invalid_codeword_error_parity_per_window(where):
+    n = 3 * huffman._WINDOW_BITS // 9 + 300  # four windows
+    table, blob = _half_code_stream(n)
+    _, pos = decode_uvarint(blob)
+    k = {"first": 5, "middle": n // 2, "last": n - 2}[where]
+    bit = 9 * k  # the start of codeword k
+    corrupt = bytearray(blob)
+    corrupt[pos + bit // 8] |= 0x80 >> (bit % 8)
+    results = _all_decoders(bytes(corrupt), table)
+    assert results[0] == "invalid codeword in Huffman bitstream"
+    _assert_same(results)
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_jump_underrun_error_parity_per_window(where):
+    n = 3 * huffman._WINDOW_BITS // 9 + 300
+    table, blob = _half_code_stream(n)
+    _, pos = decode_uvarint(blob)
+    keep = {"first": 100, "middle": (len(blob) - pos) // 2,
+            "last": len(blob) - pos - 2}[where]
+    truncated = blob[: pos + keep]
+    results = _all_decoders(truncated, table)
+    assert results[0] == "Huffman bitstream underrun"
+    _assert_same(results)
+    with pytest.raises(CodecError, match="underrun"):
+        huffman_decode(truncated, table)
+
+
+def test_forged_symbol_count_rejected_before_allocation():
+    """A 21-byte payload claiming 2**40 symbols is refused up front
+    (it used to ask numpy for 8 TiB)."""
+    table = HuffmanTable.from_symbols(np.arange(4, dtype=np.int64))
+    forged = encode_uvarint(2 ** 40) + b"\x00" * (21 - 6)
+    assert len(forged) == 21
+    with pytest.raises(CodecError, match="claims 1099511627776 symbols"):
+        huffman_decode(forged, table)
+    # The count check is exact: n == 8 * bytes still decodes (1-bit
+    # codes), n == 8 * bytes + 1 is refused.
+    table1 = HuffmanTable.from_symbols(np.array([0, 1], dtype=np.int64))
+    ok = huffman_encode(np.zeros(16, dtype=np.int64), table1)
+    got, _ = huffman_decode(ok, table1)
+    np.testing.assert_array_equal(got, np.zeros(16, dtype=np.int64))
+    with pytest.raises(CodecError, match="claims 17 symbols"):
+        huffman_decode(encode_uvarint(17) + ok[1:], table1)
+
+
+@pytest.mark.parametrize("n,path", [(10, "jump"),
+                                    (_JUMP_CUTOFF - 1, "jump"),
+                                    (_JUMP_CUTOFF, "speculative")])
+def test_decode_span_names_the_path(n, path):
+    symbols = np.arange(n, dtype=np.int64) % 5
+    table = HuffmanTable.from_symbols(symbols, alphabet_size=5)
+    blob = huffman_encode(symbols, table)
+    with use_tracer(Tracer()) as tracer:
+        huffman_decode(blob, table)
+    spans = [s for s in tracer.spans if s.name == "huffman.decode"]
+    assert [s.meta["path"] for s in spans] == [path]
+
+
 # -- satellite: L > 32 guard ------------------------------------------------
 
 
@@ -196,6 +373,46 @@ def test_decode_tables_cached_per_instance():
     second = table.decode_tables()
     assert first[0] is second[0] and first[1] is second[1]
     assert not first[0].flags.writeable
+
+
+def _decode_tables_ref(table: HuffmanTable):
+    """The per-symbol loop the ``np.repeat`` table build replaced."""
+    L = table.max_length
+    sym_tab = np.zeros(1 << L, dtype=np.int64)
+    len_tab = np.zeros(1 << L, dtype=np.int64)
+    for s in np.flatnonzero(table.lengths):
+        ln = int(table.lengths[s])
+        base = int(table.codes[s]) << (L - ln)
+        width = 1 << (L - ln)
+        sym_tab[base : base + width] = s
+        len_tab[base : base + width] = ln
+    return sym_tab, len_tab, L
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_decode_tables_match_reference_loop(seed):
+    rng = np.random.default_rng(6000 + seed)
+    for _ in range(5):
+        alphabet = int(rng.integers(1, 70000 if seed == 0 else 400))
+        size = int(rng.integers(1, 3000))
+        p = 1.0 / np.arange(1, alphabet + 1) ** rng.uniform(0, 2)
+        symbols = rng.choice(alphabet, size=size, p=p / p.sum())
+        table = HuffmanTable.from_symbols(symbols.astype(np.int64),
+                                          alphabet_size=alphabet)
+        sym_tab, len_tab, L = table.decode_tables()
+        ref_sym, ref_len, ref_L = _decode_tables_ref(table)
+        assert L == ref_L
+        np.testing.assert_array_equal(sym_tab, ref_sym)
+        np.testing.assert_array_equal(len_tab, ref_len)
+        assert len_tab.dtype == np.uint8
+        assert sym_tab.dtype == np.min_scalar_type(alphabet - 1)
+
+
+def test_decode_tables_reject_kraft_overflow():
+    bad = np.array([1, 1, 1], dtype=np.int64)
+    table = HuffmanTable(lengths=bad, codes=np.zeros(3, dtype=np.uint64))
+    with pytest.raises(CodecError, match="overflowed"):
+        table.decode_tables()
 
 
 def test_from_bytes_shares_cached_reconstruction():

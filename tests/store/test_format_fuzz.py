@@ -14,6 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines.sz import _MAGIC as SZ_MAGIC
+from repro.baselines.sz import _VERSION as SZ_VERSION
+from repro.codecs.container import pack_sections, unpack_sections
+from repro.codecs.huffman import HuffmanTable
+from repro.codecs.varint import decode_uvarint, encode_uvarint
 from repro.errors import FormatError, ReproError
 from repro.store import Store
 from repro.store.format import (
@@ -142,6 +147,37 @@ class TestWholeFileFuzz:
             reopened.get("b")
         # The undamaged field still reads fine.
         assert reopened.get("a").shape == (12, 10)
+
+    def test_forged_huffman_count_is_one_line_format_error(self, tmp_path,
+                                                           rng):
+        """An sz chunk whose residual Huffman header claims 2**40
+        symbols fails the read with a one-line FormatError instead of
+        asking numpy for terabytes."""
+        path = tmp_path / "forged.dpzs"
+        data = rng.normal(size=(8, 8, 8)).astype(np.float32)
+        with Store.create(path) as st:
+            st.add("f", data, codec="sz", chunk_shape=8, eps=1e-3)
+        ref = Store.open(path)._fields["f"].chunks[0]
+        blob = bytearray(path.read_bytes())
+        payload = bytes(blob[ref.offset:ref.offset + ref.length])
+        *head, res = unpack_sections(payload, SZ_MAGIC, SZ_VERSION)
+        _, pos = decode_uvarint(res, 0)
+        _, pos = HuffmanTable.from_bytes(res, pos)
+        _, bits = decode_uvarint(res, pos)
+        count = encode_uvarint(2 ** 40)
+        # Same section length: drop as many bitstream bytes as the
+        # longer count adds, so the manifest still matches.
+        grow = len(count) - (bits - pos)
+        res = res[:pos] + count + res[bits + grow:]
+        forged = pack_sections(SZ_MAGIC, SZ_VERSION, [*head, res])
+        assert len(forged) == len(payload)
+        blob[ref.offset:ref.offset + ref.length] = forged
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as err:
+            Store.open(path).get("f")
+        msg = str(err.value)
+        assert "\n" not in msg
+        assert "claims 1099511627776 symbols" in msg
 
     def test_chunk_decoding_to_wrong_shape_rejected(self, tmp_path, rng):
         # Swap two payloads of *different* chunk geometry: the decoded
