@@ -16,25 +16,31 @@ from repro.errors import DataShapeError
 __all__ = ["split_blocks", "merge_blocks"]
 
 
-def split_blocks(arr: np.ndarray, bs: int) -> tuple[np.ndarray,
-                                                    tuple[int, ...]]:
+def split_blocks(arr: np.ndarray, bs: int, *,
+                 lead: int = 0) -> tuple[np.ndarray, tuple[int, ...]]:
     """Pad (edge-replicate) and split into ``(n_blocks, bs, ..., bs)``.
 
     Blocks are ordered C-style over the block grid.  Returns the block
-    stack and the padded array shape (needed to invert).
+    stack and the padded array shape (needed to invert).  The first
+    ``lead`` axes are a batch: they are kept in front of the block axis
+    (``(*batch, n_blocks, bs, ..., bs)``) and every item is blocked
+    exactly as it would be alone.
     """
-    if arr.ndim < 1:
+    if arr.ndim <= lead:
         raise DataShapeError("cannot block a 0-D array")
     if bs < 1:
         raise DataShapeError(f"block size must be >= 1, got {bs}")
-    pad = [(0, (-n) % bs) for n in arr.shape]
+    batch = list(arr.shape[:lead])
+    pad = [(0, 0)] * lead + [(0, (-n) % bs) for n in arr.shape[lead:]]
     padded = np.pad(arr, pad, mode="edge") if any(p[1] for p in pad) else arr
-    shape = padded.shape
-    d = arr.ndim
+    shape = padded.shape[lead:]
+    d = len(shape)
     counts = [n // bs for n in shape]
-    view = padded.reshape([v for n in counts for v in (n, bs)])
-    order = list(range(0, 2 * d, 2)) + list(range(1, 2 * d, 2))
-    blocks = view.transpose(order).reshape(int(np.prod(counts)), *([bs] * d))
+    view = padded.reshape(batch + [v for n in counts for v in (n, bs)])
+    order = (list(range(lead)) + list(range(lead, lead + 2 * d, 2))
+             + list(range(lead + 1, lead + 2 * d, 2)))
+    blocks = view.transpose(order).reshape(
+        *batch, int(np.prod(counts)), *([bs] * d))
     return np.ascontiguousarray(blocks), shape
 
 

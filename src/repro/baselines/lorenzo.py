@@ -34,13 +34,15 @@ __all__ = [
 ]
 
 
-def lattice_quantize(data: np.ndarray, eps: float) -> np.ndarray:
+def lattice_quantize(data: np.ndarray,
+                     eps: float | np.ndarray) -> np.ndarray:
     """Snap values to the lattice of spacing ``2*eps``; returns int64.
 
     Reconstruction via :func:`lattice_dequantize` satisfies
-    ``|x - x_hat| <= eps`` elementwise.
+    ``|x - x_hat| <= eps`` elementwise.  ``eps`` may be an array that
+    broadcasts against ``data`` (one bound per item of a batch).
     """
-    if eps <= 0:
+    if np.any(np.asarray(eps) <= 0):
         raise ConfigError(f"error bound must be positive, got {eps}")
     scaled = np.asarray(data, dtype=np.float64) / (2.0 * eps)
     if scaled.size and np.max(np.abs(scaled)) >= 2 ** 62:

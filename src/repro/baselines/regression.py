@@ -57,36 +57,37 @@ def _design_and_pinv(block_shape: tuple[int, ...]) -> tuple[np.ndarray,
     return cached
 
 
-def fit_blocks(blocks: np.ndarray) -> np.ndarray:
+def fit_blocks(blocks: np.ndarray, *, lead: int = 1) -> np.ndarray:
     """Least-squares hyperplane fit for every block at once.
 
     Parameters
     ----------
     blocks:
-        ``(n_blocks, *block_shape)`` array.
+        ``(n_blocks, *block_shape)`` array; with ``lead=2``, a batch
+        ``(n_items, n_blocks, *block_shape)``.  Each item's fit is the
+        same matrix product it would get alone.
 
     Returns
     -------
-    ``(n_blocks, 1 + ndim)`` float32 coefficients (rounded for storage;
-    use these same values for prediction).
+    ``(*blocks.shape[:lead], 1 + ndim)`` float32 coefficients (rounded
+    for storage; use these same values for prediction).
     """
-    if blocks.ndim < 2:
+    if blocks.ndim < lead + 1:
         raise DataShapeError("blocks array must be (n_blocks, *block_shape)")
-    nb = blocks.shape[0]
-    block_shape = blocks.shape[1:]
+    block_shape = blocks.shape[lead:]
     _, pinv = _design_and_pinv(block_shape)
-    flat = blocks.reshape(nb, -1).astype(np.float64)
+    flat = blocks.reshape(blocks.shape[:lead] + (-1,)).astype(np.float64)
     coef = flat @ pinv.T
     return coef.astype(np.float32)
 
 
 def predict_blocks(coef: np.ndarray,
                    block_shape: tuple[int, ...]) -> np.ndarray:
-    """Evaluate the fitted hyperplanes: ``(n_blocks, *block_shape)``.
+    """Evaluate the fitted hyperplanes: ``(*coef.shape[:-1], *block_shape)``.
 
     ``coef`` is the float32 output of :func:`fit_blocks` (or the same
     values recovered from a container).
     """
     X, _ = _design_and_pinv(tuple(block_shape))
     pred = coef.astype(np.float64) @ X.T
-    return pred.reshape((coef.shape[0],) + tuple(block_shape))
+    return pred.reshape(coef.shape[:-1] + tuple(block_shape))

@@ -31,6 +31,7 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -39,14 +40,13 @@ from repro.baselines.blocking import split_blocks as _split_blocks
 from repro.baselines.lorenzo import (
     lattice_dequantize,
     lattice_quantize,
-    lorenzo_forward,
     lorenzo_inverse,
 )
 from repro.baselines.regression import fit_blocks, predict_blocks
 from repro.baselines.szstream import (
     DEFAULT_ALPHABET,
     decode_residuals,
-    encode_residuals,
+    encode_residuals_many,
     pack_sections,
     unpack_sections,
 )
@@ -55,7 +55,8 @@ from repro.codecs.zlibc import zlib_compress, zlib_decompress
 from repro.errors import ConfigError, DataShapeError, FormatError
 from repro.observability import counter_inc, gauge_set, observe, span
 
-__all__ = ["SZCompressor", "sz_compress", "sz_decompress", "MODES"]
+__all__ = ["SZCompressor", "sz_compress", "sz_compress_many",
+           "sz_decompress", "MODES"]
 
 _MAGIC = b"SZR1"
 _VERSION = 1
@@ -67,7 +68,8 @@ _DTYPES = {"f4": np.float32, "f8": np.float64}
 
 
 def _block_lorenzo_forward(blocks: np.ndarray) -> np.ndarray:
-    """Lorenzo residuals computed independently inside every block."""
+    """Lorenzo residuals computed independently inside every block
+    (or every item of a batch: everything past axis 0)."""
     out = blocks.copy()
     for axis in range(1, out.ndim):
         out = np.concatenate(
@@ -131,101 +133,139 @@ class SZCompressor:
 
     # -- helpers -----------------------------------------------------------
 
-    def _resolve_eps(self, data: np.ndarray) -> float:
+    def _resolve_eps(self, batch: np.ndarray, dtype_tag: str) -> np.ndarray:
+        """One lattice bound per item of ``batch`` (items on axis 0)."""
+        axes = tuple(range(1, batch.ndim))
         if self.eps is not None:
-            return float(self.eps)
-        rng = float(np.max(data) - np.min(data)) if data.size else 0.0
-        if rng == 0.0:
-            # Constant data: any positive bound works; pick the rel bound
-            # itself so the lattice is well defined.
-            return float(self.rel_eps)
-        return float(self.rel_eps) * rng
+            eps = np.full(batch.shape[0], float(self.eps))
+        else:
+            # Range in the input dtype, as np.max(x) - np.min(x) gives.
+            rng = (batch.max(axis=axes) - batch.min(axis=axes)).astype(
+                np.float64)
+            # Constant data: any positive bound works; pick the rel
+            # bound itself so the lattice is well defined.
+            eps = np.where(rng == 0.0, float(self.rel_eps),
+                           float(self.rel_eps) * rng)
+        if dtype_tag == "f4":
+            # The pipeline works in float64 but float32 outputs are
+            # rounded once more on the final cast (up to one ULP of the
+            # largest value).  Shave that off the lattice bound so the
+            # error contract holds on the *returned* array, not just
+            # internally.
+            ulp = np.spacing(np.abs(batch).max(axis=axes)).astype(np.float64)
+            eps = np.where(eps > 2.0 * ulp, eps - ulp, eps)
+        return eps
+
+    def _predict(self, batch: np.ndarray, eps: np.ndarray,
+                 mode: str) -> tuple[np.ndarray, tuple[int, ...],
+                                     list[bytes], list[bytes]]:
+        """Lattice residuals of a same-shape batch, plus per-item
+        padded shape, selector and coefficient sections."""
+        work = batch.astype(np.float64, copy=False)
+        n = work.shape[0]
+        if mode == "lorenzo":
+            scale = eps.reshape((n,) + (1,) * (work.ndim - 1))
+            return (_block_lorenzo_forward(lattice_quantize(work, scale)),
+                    work.shape[1:], [b""] * n, [b""] * n)
+        blocks, padded_shape = _split_blocks(work, self.block_size, lead=1)
+        nb = blocks.shape[1]
+        coef = fit_blocks(blocks, lead=2)
+        pred = predict_blocks(coef, blocks.shape[2:])
+        # Every block stands alone from here on: one flat block axis.
+        flat_shape = (n * nb,) + blocks.shape[2:]
+        scale = np.repeat(eps, nb).reshape(
+            (n * nb,) + (1,) * (work.ndim - 1))
+        reg_res = lattice_quantize((blocks - pred).reshape(flat_shape), scale)
+        if mode == "regression":
+            res = reg_res
+            choose_reg = np.ones((n, nb), dtype=bool)
+        else:
+            lor_res = _block_lorenzo_forward(
+                lattice_quantize(blocks.reshape(flat_shape), scale))
+            pick = _residual_cost(reg_res) < _residual_cost(lor_res)
+            res = np.where(pick.reshape((-1,) + (1,) * (work.ndim - 1)),
+                           reg_res, lor_res)
+            choose_reg = pick.reshape(n, nb)
+        selectors = [zlib_compress(np.packbits(c).tobytes())
+                     for c in choose_reg]
+        # Only regression blocks need their coefficients.
+        coeffs = [zlib_compress(np.ascontiguousarray(c[k], dtype="<f4"))
+                  for c, k in zip(coef, choose_reg)]
+        return res.reshape((n, -1)), padded_shape, selectors, coeffs
 
     # -- compression -------------------------------------------------------
 
     def compress(self, data: np.ndarray) -> bytes:
         """Compress an n-D float array to a self-describing byte string."""
+        return self.compress_many([data])[0]
+
+    def compress_many(self, arrays: Sequence[np.ndarray]) -> list[bytes]:
+        """Compress each array; ``compress_many(xs)[i] == compress(xs[i])``.
+
+        Arrays of one shape and dtype run through prediction as one
+        batch (items on a leading axis, each with its own ``eps``), and
+        every residual array is entropy-coded in one grouped pass.
+        """
         t_start = time.perf_counter()
-        data = np.asarray(data)
-        if data.dtype.newbyteorder("=") == np.float32:
-            dtype_tag = "f4"
-        elif data.dtype.newbyteorder("=") == np.float64:
-            dtype_tag = "f8"
-        else:
-            data = data.astype(np.float64)
-            dtype_tag = "f8"
-        if data.ndim < 1 or data.ndim > 4:
-            raise DataShapeError(f"SZ supports 1-4 dimensions, got {data.ndim}")
-        if data.size == 0:
-            raise DataShapeError("cannot compress an empty array")
-
-        eps = self._resolve_eps(data)
-        # The pipeline works in float64 but float32 outputs are rounded
-        # once more on the final cast (up to one ULP of the largest
-        # value).  Shave that off the lattice bound so the error
-        # contract holds on the *returned* array, not just internally.
-        if dtype_tag == "f4" and data.size:
-            ulp = float(np.spacing(np.float32(np.max(np.abs(data)))))
-            if eps > 2.0 * ulp:
-                eps = eps - ulp
-        mode = self.mode
-        if mode == "auto" and data.ndim == 1:
-            mode = "lorenzo"
-
-        work = data.astype(np.float64, copy=False)
-        selectors = b""
-        coeffs = b""
-        with span("sz.predict", bytes_in=int(work.nbytes), mode=mode):
-            if mode == "lorenzo":
-                residuals = lorenzo_forward(lattice_quantize(work, eps))
-                padded_shape = work.shape
+        items: list[tuple[np.ndarray, str]] = []
+        for data in arrays:
+            data = np.asarray(data)
+            if data.dtype.newbyteorder("=") == np.float32:
+                dtype_tag = "f4"
+            elif data.dtype.newbyteorder("=") == np.float64:
+                dtype_tag = "f8"
             else:
-                blocks, padded_shape = _split_blocks(work, self.block_size)
-                coef = fit_blocks(blocks)
-                pred = predict_blocks(coef, blocks.shape[1:])
-                reg_res = lattice_quantize(blocks - pred, eps)
-                if mode == "regression":
-                    choose_reg = np.ones(blocks.shape[0], dtype=bool)
-                    lor_res = None
-                else:
-                    lor_res = _block_lorenzo_forward(
-                        lattice_quantize(blocks, eps))
-                    choose_reg = (_residual_cost(reg_res)
-                                  < _residual_cost(lor_res))
-                nb = blocks.shape[0]
-                res = np.empty_like(reg_res)
-                res[choose_reg] = reg_res[choose_reg]
-                if lor_res is not None:
-                    res[~choose_reg] = lor_res[~choose_reg]
-                residuals = res
-                selectors = zlib_compress(np.packbits(choose_reg).tobytes())
-                # Only regression blocks need their coefficients.
-                coeffs = zlib_compress(
-                    np.ascontiguousarray(coef[choose_reg], dtype="<f4"))
+                data = data.astype(np.float64)
+                dtype_tag = "f8"
+            if data.ndim < 1 or data.ndim > 4:
+                raise DataShapeError(
+                    f"SZ supports 1-4 dimensions, got {data.ndim}")
+            if data.size == 0:
+                raise DataShapeError("cannot compress an empty array")
+            items.append((data, dtype_tag))
+        batches: dict[tuple[tuple[int, ...], str], list[int]] = {}
+        for i, (data, dtype_tag) in enumerate(items):
+            batches.setdefault((data.shape, dtype_tag), []).append(i)
 
-        meta = bytearray()
-        meta += encode_uvarint(_MODE_ID[mode])
-        meta += dtype_tag.encode()
-        meta += struct.pack("<d", eps)
-        meta += encode_uvarint(self.block_size)
-        meta += encode_uvarint(data.ndim)
-        for n in data.shape:
-            meta += encode_uvarint(n)
-        for n in padded_shape:
-            meta += encode_uvarint(n)
-        meta += encode_uvarint(self.alphabet)
+        residuals: list[np.ndarray] = [np.empty(0)] * len(items)
+        sections: list[list[bytes]] = [[]] * len(items)
+        for (shape, dtype_tag), idx in batches.items():
+            batch = (items[idx[0]][0][None] if len(idx) == 1
+                     else np.stack([items[i][0] for i in idx]))
+            eps = self._resolve_eps(batch, dtype_tag)
+            mode = self.mode
+            if mode == "auto" and len(shape) == 1:
+                mode = "lorenzo"
+            with span("sz.predict", bytes_in=int(batch.nbytes), mode=mode,
+                      n_items=len(idx)):
+                res, padded_shape, selectors, coeffs = self._predict(
+                    batch, eps, mode)
+            head = bytearray(encode_uvarint(_MODE_ID[mode]))
+            head += dtype_tag.encode()
+            tail = bytearray(encode_uvarint(self.block_size))
+            tail += encode_uvarint(len(shape))
+            for n in shape + padded_shape:
+                tail += encode_uvarint(n)
+            tail += encode_uvarint(self.alphabet)
+            for j, i in enumerate(idx):
+                meta = bytes(head) + struct.pack("<d", eps[j]) + bytes(tail)
+                residuals[i] = res[j]
+                sections[i] = [meta, selectors[j], coeffs[j]]
 
-        with span("sz.encode", bytes_in=int(residuals.nbytes)) as sp:
-            payload = encode_residuals(residuals, self.alphabet)
-            blob = pack_sections(_MAGIC, _VERSION,
-                                 [bytes(meta), selectors, coeffs, payload])
-            sp.add(bytes_out=len(blob))
-        counter_inc("sz.compress.runs")
-        counter_inc("sz.compress.bytes_in", int(data.nbytes))
-        counter_inc("sz.compress.bytes_out", len(blob))
-        gauge_set("sz.last.cr", data.nbytes / max(len(blob), 1))
-        observe("sz.compress.seconds", time.perf_counter() - t_start)
-        return blob
+        with span("sz.encode", bytes_in=sum(r.nbytes for r in residuals),
+                  n_items=len(items)) as sp:
+            payloads = encode_residuals_many(residuals, self.alphabet)
+            blobs = [pack_sections(_MAGIC, _VERSION, sec + [payload])
+                     for sec, payload in zip(sections, payloads)]
+            sp.add(bytes_out=sum(len(b) for b in blobs))
+        share = (time.perf_counter() - t_start) / max(len(items), 1)
+        for (data, _), blob in zip(items, blobs):
+            counter_inc("sz.compress.runs")
+            counter_inc("sz.compress.bytes_in", int(data.nbytes))
+            counter_inc("sz.compress.bytes_out", len(blob))
+            gauge_set("sz.last.cr", data.nbytes / max(len(blob), 1))
+            observe("sz.compress.seconds", share)
+        return blobs
 
     # -- decompression -----------------------------------------------------
 
@@ -304,6 +344,14 @@ def sz_compress(data: np.ndarray, eps: float | None = None, *,
     """One-call SZ compression; see :class:`SZCompressor`."""
     return SZCompressor(eps=eps, rel_eps=rel_eps, mode=mode,
                         block_size=block_size).compress(data)
+
+
+def sz_compress_many(arrays: Sequence[np.ndarray], eps: float | None = None,
+                     *, rel_eps: float | None = None, mode: str = "auto",
+                     block_size: int = 8) -> list[bytes]:
+    """Grouped :func:`sz_compress`: one payload per array, same bytes."""
+    return SZCompressor(eps=eps, rel_eps=rel_eps, mode=mode,
+                        block_size=block_size).compress_many(arrays)
 
 
 def sz_decompress(blob: bytes) -> np.ndarray:

@@ -18,9 +18,15 @@ opaque byte strings whose meaning is positional, defined by
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from repro.codecs.huffman import HuffmanTable, huffman_decode, huffman_encode
+from repro.codecs.huffman import (
+    HuffmanTable,
+    huffman_decode,
+    huffman_encode_many,
+)
 from repro.codecs.varint import (
     decode_uvarint,
     encode_uvarint,
@@ -33,6 +39,7 @@ from repro.errors import CodecError
 
 __all__ = [
     "encode_residuals",
+    "encode_residuals_many",
     "decode_residuals",
     "pack_sections",
     "unpack_sections",
@@ -49,27 +56,52 @@ def encode_residuals(residuals: np.ndarray,
     """Entropy-code an int64 residual array.
 
     Layout: ``uvarint(alphabet) || huffman_table || huffman_payload ||
-    uvarint(len(escapes_frame)) || escapes_frame``.
+    uvarint(len(escapes_frame)) || escapes_frame``.  The one-array case
+    of :func:`encode_residuals_many`.
+    """
+    return encode_residuals_many([residuals], alphabet)[0]
+
+
+def encode_residuals_many(residuals: Sequence[np.ndarray],
+                          alphabet: int = DEFAULT_ALPHABET) -> list[bytes]:
+    """Entropy-code several residual arrays, each with its own table.
+
+    Returns exactly what :func:`encode_residuals` returns for each
+    array alone.  The symbol mapping runs once over the concatenation,
+    and every item's bitstream is written by one
+    :func:`~repro.codecs.huffman.huffman_encode_many` call; only the
+    table builds and the small side frames are per item.
     """
     if alphabet < 2:
         raise CodecError(f"alphabet must be >= 2, got {alphabet}")
-    flat = np.asarray(residuals, dtype=np.int64).reshape(-1)
-    unsigned = zigzag_encode(flat)
+    flats = [np.asarray(r, dtype=np.int64).reshape(-1) for r in residuals]
+    if not flats:
+        return []
+    unsigned = zigzag_encode(np.concatenate(flats))
     escape = alphabet - 1
     over = unsigned >= escape
     symbols = np.where(over, np.uint64(escape), unsigned).astype(np.int64)
+    bounds = np.cumsum([0] + [f.size for f in flats]).tolist()
+    esc_at = np.flatnonzero(over)
+    esc_bounds = np.searchsorted(esc_at, bounds).tolist()
 
-    escapes = unsigned[over]
-    side = bytearray(encode_uvarint(int(escapes.size)))
-    for v in escapes.tolist():
-        side += encode_uvarint(v)
-    side_frame = zlib_compress(bytes(side))
-
-    used = int(symbols.max()) + 1 if symbols.size else 1
-    table = HuffmanTable.from_symbols(symbols, alphabet_size=used)
-    payload = huffman_encode(symbols, table)
-    return (encode_uvarint(used) + table.to_bytes() + payload
-            + encode_uvarint(len(side_frame)) + bytes(side_frame))
+    streams, tables, heads, sides = [], [], [], []
+    for k in range(len(flats)):
+        a, b = bounds[k], bounds[k + 1]
+        stream = symbols[a:b]
+        counts = np.bincount(stream) if b > a else np.zeros(1, np.int64)
+        table = HuffmanTable.from_counts(counts)
+        streams.append(stream)
+        tables.append(table)
+        heads.append(encode_uvarint(counts.size) + table.to_bytes())
+        e0, e1 = esc_bounds[k], esc_bounds[k + 1]
+        side = bytearray(encode_uvarint(e1 - e0))
+        for v in unsigned[esc_at[e0:e1]].tolist():
+            side += encode_uvarint(v)
+        sides.append(zlib_compress(bytes(side)))
+    payloads = huffman_encode_many(streams, tables)
+    return [head + payload + encode_uvarint(len(side)) + side
+            for head, payload, side in zip(heads, payloads, sides)]
 
 
 def decode_residuals(data: bytes, count: int,

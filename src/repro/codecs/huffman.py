@@ -15,9 +15,18 @@ Design notes
   heuristic (clamp, then lengthen the cheapest codes until the Kraft
   sum is <= 1, then shorten greedily where slack remains).  The cap
   enables a single flat ``2**L``-entry decode table.
-* **Vectorized encode.**  Symbols are mapped to (code, length) arrays
-  and the bitstream is emitted with one NumPy pass (per-bit expansion
-  driven by ``np.repeat``), no per-symbol Python loop.
+* **Two-queue tree build.**  Code lengths come from the linear
+  two-queue Huffman construction over leaves sorted by (count,
+  symbol), which picks exactly the nodes a (weight, tiebreak) heap
+  would, so the lengths -- and the bytes -- are the heap build's.
+* **Word-packed encode.**  Symbols are mapped to (code, length)
+  arrays, and :func:`_pack_codewords` shifts each left-aligned
+  codeword into the 64-bit word holding its first bit (plus one entry
+  for a spill into the next word) and merges them with
+  ``np.bitwise_or.reduceat``: work per symbol, not per bit.
+  :func:`huffman_encode_many` encodes several streams, each with its
+  own table and each starting on a byte boundary, in one such pass;
+  :func:`huffman_encode` is its one-stream case.
 * **Two decoders, chosen by symbol count.**  Below
   :data:`_JUMP_CUTOFF` symbols (every store chunk) a pointer-jumping
   decoder (:func:`_decode_jump`) works one bounded window of bits at a
@@ -38,10 +47,9 @@ Design notes
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, cast
+from typing import Any, Sequence, cast
 
 import numpy as np
 from numpy.typing import NDArray
@@ -51,7 +59,8 @@ from repro.codecs.zlibc import zlib_compress, zlib_decompress
 from repro.errors import CodecError
 from repro.observability import counter_add, observe, span
 
-__all__ = ["HuffmanTable", "huffman_encode", "huffman_decode", "MAX_CODE_LENGTH"]
+__all__ = ["HuffmanTable", "huffman_encode", "huffman_encode_many",
+           "huffman_decode", "MAX_CODE_LENGTH"]
 
 #: Hard cap on codeword length; the flat decode table has 2**len entries.
 MAX_CODE_LENGTH = 20
@@ -71,6 +80,9 @@ _WINDOW_BITS = 1 << 16
 #: step costs about as much as a gather over this many elements.
 _BITS_PER_STEP = 256
 
+#: Right shifts that take a 64-bit word apart into bytes, MSB first.
+_BYTE_SHIFTS = np.arange(56, -8, -8, dtype=np.uint64)
+
 #: Target symbols per speculative chunk: sets the gather width
 #: (``~n/256`` chunks per round) against the per-round Python overhead.
 _CHUNK_SYMBOLS = 256
@@ -79,39 +91,53 @@ _CHUNK_SYMBOLS = 256
 def _huffman_code_lengths(counts: NDArray[np.int64]) -> NDArray[np.int64]:
     """Compute unrestricted Huffman code lengths from symbol counts.
 
-    Uses the standard two-queue/heap construction.  Symbols with zero
+    Two-queue construction: leaves sorted by (count, symbol) form one
+    queue, and internal nodes -- created in nondecreasing weight order
+    -- form the other.  Each merge takes the two lightest heads; a tie
+    between a leaf and an internal node takes the leaf.  That is the
+    exact pop order of a heap keyed on (weight, tiebreak) with leaves
+    tied by symbol and internal nodes by creation, so the tree (and
+    every code length) is the classic heap build's.  Symbols with zero
     count get length 0 (absent from the code).  A degenerate alphabet
     of one used symbol gets length 1.
     """
     used = np.flatnonzero(counts)
     lengths = np.zeros(counts.size, dtype=np.int64)
-    if used.size == 0:
+    m = int(used.size)
+    if m == 0:
         return lengths
-    if used.size == 1:
+    if m == 1:
         lengths[used[0]] = 1
         return lengths
-    # Heap of (weight, tiebreak, node). Leaves are ints; internal nodes
-    # are [left, right] lists. We accumulate depths at the end.
-    heap: list[tuple[int, int, object]] = [
-        (int(counts[s]), int(s), int(s)) for s in used
-    ]
-    heapq.heapify(heap)
-    tiebreak = int(counts.size)
-    while len(heap) > 1:
-        w1, _, n1 = heapq.heappop(heap)
-        w2, _, n2 = heapq.heappop(heap)
-        heapq.heappush(heap, (w1 + w2, tiebreak, [n1, n2]))
-        tiebreak += 1
-    # Iterative depth-first traversal assigning depths.
-    stack = [(heap[0][2], 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, int):
-            lengths[node] = max(depth, 1)
+    order = used[np.argsort(counts[used], kind="stable")]
+    leaf: list[int] = counts[order].tolist()
+    node = [0] * (m - 1)         # internal weights, in creation order
+    parent = [0] * (2 * m - 2)   # leaves by rank, then internal nodes
+    i = j = 0
+    for k in range(m - 1):
+        if i < m and (j == k or leaf[i] <= node[j]):
+            w = leaf[i]
+            parent[i] = k
+            i += 1
         else:
-            children = cast("list[object]", node)
-            stack.append((children[0], depth + 1))
-            stack.append((children[1], depth + 1))
+            w = node[j]
+            parent[m + j] = k
+            j += 1
+        if i < m and (j == k or leaf[i] <= node[j]):
+            w += leaf[i]
+            parent[i] = k
+            i += 1
+        else:
+            w += node[j]
+            parent[m + j] = k
+            j += 1
+        node[k] = w
+    # Every parent is created after its children: one backward pass
+    # from the root (internal node m - 2) assigns every depth.
+    depth = [0] * (m - 1)
+    for k in range(m - 3, -1, -1):
+        depth[k] = depth[parent[m + k]] + 1
+    lengths[order] = np.asarray(depth)[parent[:m]] + 1
     return lengths
 
 
@@ -186,31 +212,25 @@ def _canonical_codes(lengths: NDArray[np.int64]) -> NDArray[np.uint64]:
     next available codeword at its length.  Returns a uint64 array of
     codewords (MSB-first significance, ``lengths[s]`` bits each).
 
-    Vectorized: the first code of each length follows the RFC 1951
-    recurrence ``first[l+1] = (first[l] + count[l]) << 1``, and every
-    used symbol then gets ``first[len] + rank-within-its-length`` in
-    one pass.
+    Vectorized: scaled to the longest length ``M``, the next available
+    codeword is the Kraft prefix sum of the symbols before it, so in
+    that order ``code = cumsum_excl(2**(M - len)) >> (M - len)``.
     """
     codes = np.zeros(lengths.size, dtype=np.uint64)
     used = np.flatnonzero(lengths)
     if used.size == 0:
         return codes
-    lens_used = lengths[used].astype(np.int64, copy=False)
-    max_len = int(lens_used.max())
-    if max_len > 60:
+    lens = lengths[used].astype(np.int64, copy=False)
+    top = int(lens.max())
+    if top > 60:
         return _canonical_codes_ref(lengths)
-    cnt = np.bincount(lens_used, minlength=max_len + 1)
-    first = np.zeros(max_len + 1, dtype=np.int64)
-    code = 0
-    for ln in range(1, max_len + 1):
-        first[ln] = code
-        code = (code + int(cnt[ln])) << 1
-    if int(first[max_len]) + int(cnt[max_len]) > (1 << max_len):
+    order = np.argsort(lens, kind="stable")  # ties keep symbol order
+    drop = top - lens[order]
+    width = np.left_shift(1, drop)
+    ends = np.cumsum(width)
+    if int(ends[-1]) > 1 << top:
         raise CodecError("canonical code construction overflowed: bad lengths")
-    order = np.argsort(lens_used, kind="stable")  # ties keep symbol order
-    class_start = np.cumsum(cnt) - cnt  # sorted-order offset of each length
-    ranks = np.arange(order.size, dtype=np.int64) - class_start[lens_used[order]]
-    codes[used[order]] = (first[lens_used[order]] + ranks).astype(np.uint64)
+    codes[used[order]] = ((ends - width) >> drop).astype(np.uint64)
     return codes
 
 
@@ -263,8 +283,16 @@ class HuffmanTable:
             raise CodecError("counts must be 1-D")
         if counts.size and counts.min() < 0:
             raise CodecError("negative symbol count")
+        if max_len < 1:
+            raise CodecError(f"max_len must be >= 1, got {max_len}")
+        n_used = int(np.count_nonzero(counts))
+        if n_used > 1 << min(max_len, 63):
+            raise CodecError(
+                f"{n_used} used symbols cannot fit a prefix code of at "
+                f"most {max_len} bits ({1 << max_len} codewords)")
         lengths = _huffman_code_lengths(counts)
-        lengths = _limit_lengths(lengths, max_len)
+        if n_used and int(lengths.max()) > max_len:
+            lengths = _limit_lengths(lengths, max_len)
         return cls(lengths=lengths, codes=_canonical_codes(lengths))
 
     @classmethod
@@ -360,39 +388,97 @@ class HuffmanTable:
         return tables
 
 
+def _pack_codewords(codes: NDArray[np.uint64], lens: NDArray[np.int64],
+                    starts: NDArray[np.int64], nbytes: int) -> bytes:
+    """Write codewords into an ``nbytes`` MSB-first bitstream.
+
+    Codeword ``i`` (``lens[i]`` <= 64 bits) lands at bit ``starts[i]``
+    (nondecreasing, no overlaps); bits no codeword covers are 0.  Each
+    codeword is left-aligned in a 64-bit word and shifted into the
+    stream word holding its first bit; the high parts of one word OR
+    together with one ``np.bitwise_or.reduceat``.  A word receives at
+    most one spill-over -- from the single codeword straddling its
+    first bit -- so the spills are ORed in with one scatter.
+    """
+    words = np.zeros(-(-nbytes // 8), dtype=np.uint64)
+    n = int(codes.size)
+    if n:
+        u64 = np.uint64
+        lens64 = lens.astype(u64)
+        left = codes.astype(u64) << (u64(64) - lens64)
+        word = starts >> 6
+        off = (starts & 63).astype(u64)
+        head = np.empty(n, dtype=bool)
+        head[0] = True
+        np.not_equal(word[1:], word[:-1], out=head[1:])
+        heads = np.flatnonzero(head)
+        words[word[heads]] = np.bitwise_or.reduceat(left >> off, heads)
+        spill = np.flatnonzero(off + lens64 > u64(64))
+        words[word[spill] + 1] |= left[spill] << (u64(64) - off[spill])
+    # Big-endian bytes of every word, MSB first, on any host.
+    octets = (words[:, None] >> _BYTE_SHIFTS) & np.uint64(0xFF)
+    return octets.astype(np.uint8).tobytes()[:nbytes]
+
+
+def huffman_encode_many(streams: Sequence[NDArray[Any]],
+                        tables: Sequence[HuffmanTable]) -> list[bytes]:
+    """Encode each symbol array with its table, in one vectorized pass.
+
+    Returns one ``uvarint(n) || bitstream`` per stream, exactly what
+    :func:`huffman_encode` returns for it alone.  The codewords of
+    every stream are gathered through the concatenated tables and
+    written, each stream starting on a byte boundary, by one
+    :func:`_pack_codewords` call.
+    """
+    if len(streams) != len(tables):
+        raise CodecError(
+            f"{len(streams)} symbol streams but {len(tables)} tables")
+    syms = [np.asarray(s).reshape(-1).astype(np.int64, copy=False)
+            for s in streams]
+    sizes = np.array([s.size for s in syms], dtype=np.int64)
+    headers = [encode_uvarint(int(k)) for k in sizes]
+    n = int(sizes.sum())
+    if n == 0:
+        return headers
+    with span("huffman.encode", bytes_in=8 * n, n_symbols=n,
+              n_streams=len(syms)) as sp:
+        alphabets = np.array([t.alphabet_size for t in tables],
+                             dtype=np.int64)
+        symbols = np.concatenate(syms)
+        if symbols.min() < 0 or np.any(
+                symbols >= np.repeat(alphabets, sizes)):
+            raise CodecError("symbol outside table alphabet")
+        # Each stream indexes its own table inside the concatenation.
+        symbols += np.repeat(np.cumsum(alphabets) - alphabets, sizes)
+        lens = np.concatenate([t.lengths for t in tables])[symbols]
+        if not lens.all():
+            raise CodecError("symbol has no codeword (zero length)")
+        bits = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(lens, out=bits[1:])
+        first = np.cumsum(sizes) - sizes
+        nbytes = (bits[first + sizes] - bits[first] + 7) // 8
+        byte0 = np.cumsum(nbytes) - nbytes
+        # Every stream starts on a byte boundary.
+        starts = bits[:-1] + np.repeat(8 * byte0 - bits[first], sizes)
+        codes = np.concatenate([t.codes for t in tables])[symbols]
+        blob = _pack_codewords(codes, lens, starts, int(nbytes.sum()))
+        out = [h + blob[a : a + b] for h, a, b in
+               zip(headers, byte0.tolist(), nbytes.tolist())]
+        bytes_out = sum(len(o) for o, k in zip(out, sizes.tolist()) if k)
+        sp.add(bytes_out=bytes_out)
+    counter_add("huffman.encode.symbols", n)
+    counter_add("huffman.encode.bytes_out", bytes_out)
+    for k in sizes[sizes > 0].tolist():
+        observe("huffman.encode.symbols_per_call", k, lo=1.0, hi=1e9)
+    return out
+
+
 def huffman_encode(symbols: NDArray[Any], table: HuffmanTable) -> bytes:
     """Encode an integer symbol array; returns ``uvarint(n) || bitstream``.
 
-    Fully vectorized: per-symbol codeword bits are expanded with
-    ``np.repeat`` and packed with ``np.packbits``.
+    The one-stream case of :func:`huffman_encode_many`.
     """
-    symbols = np.asarray(symbols).reshape(-1).astype(np.int64, copy=False)
-    n = symbols.size
-    header = encode_uvarint(n)
-    if n == 0:
-        return header
-    with span("huffman.encode", bytes_in=int(symbols.nbytes),
-              n_symbols=n) as sp:
-        if symbols.min() < 0 or symbols.max() >= table.alphabet_size:
-            raise CodecError("symbol outside table alphabet")
-        lens = table.lengths[symbols]
-        if np.any(lens == 0):
-            raise CodecError("symbol has no codeword (zero length)")
-        codes = table.codes[symbols]
-        total = int(lens.sum())
-        # Bit position of each symbol's first bit, then per-bit index
-        # within the symbol's codeword; extract that bit of the codeword.
-        starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        owner = np.repeat(np.arange(n), lens)        # symbol owning bit i
-        within = np.arange(total) - starts[owner]    # bit index inside code
-        shift = (lens[owner] - 1 - within).astype(np.uint64)
-        bits = ((codes[owner] >> shift) & np.uint64(1)).astype(np.uint8)
-        out = header + np.packbits(bits).tobytes()
-        sp.add(bytes_out=len(out))
-    counter_add("huffman.encode.symbols", n)
-    counter_add("huffman.encode.bytes_out", len(out))
-    observe("huffman.encode.symbols_per_call", n, lo=1.0, hi=1e9)
-    return out
+    return huffman_encode_many([symbols], [table])[0]
 
 
 def _decode_scalar(buf: NDArray[np.uint8], n: int,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Protocol
+from typing import Any, Callable, Iterator, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from repro.errors import ConfigError
 
 __all__ = [
     "CompressFn",
+    "CompressManyFn",
     "DecompressFn",
     "CodecSpec",
     "register_codec",
@@ -54,6 +55,14 @@ class CompressFn(Protocol):
     def __call__(self, data: Any, **kwargs: Any) -> bytes: ...
 
 
+class CompressManyFn(Protocol):
+    """``compress_many(arrays, **kwargs) -> list[bytes]``, one payload
+    per array, each what ``compress`` returns for it alone."""
+
+    def __call__(self, arrays: Sequence[Any],
+                 **kwargs: Any) -> list[bytes]: ...
+
+
 DecompressFn = Callable[[bytes], "np.ndarray[Any, np.dtype[Any]]"]
 
 #: Registration kinds, used for documentation / filtering only.
@@ -70,11 +79,21 @@ class CodecSpec:
     kind: str = "lossy"
     #: Where the registration came from ("builtin" or a module path).
     source: str = "user"
+    #: The codec's own grouped encoder, when it registered one.
+    grouped: CompressManyFn | None = None
 
     pair: tuple[CompressFn, DecompressFn] = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pair", (self.compress, self.decompress))
+
+    def compress_many(self, arrays: Sequence[Any],
+                      **kwargs: Any) -> list[bytes]:
+        """One payload per array: the grouped encoder, else ``compress``
+        mapped over the list."""
+        if self.grouped is not None:
+            return self.grouped(arrays, **kwargs)
+        return [self.compress(a, **kwargs) for a in arrays]
 
 
 # Reentrant: _ensure_builtins holds it while importing modules whose
@@ -106,13 +125,18 @@ def _ensure_builtins() -> None:
 def register_codec(name: str, compress: CompressFn,
                    decompress: DecompressFn, *, kind: str = "lossy",
                    source: str = "user",
-                   overwrite: bool = False) -> CodecSpec:
+                   overwrite: bool = False,
+                   compress_many: CompressManyFn | None = None) -> CodecSpec:
     """Register ``(compress, decompress)`` under ``name``.
 
     ``kind`` is ``"lossy"``, ``"lossless"`` or ``"filter"``.  A second
     registration of the same id raises
     :class:`~repro.errors.ConfigError` unless ``overwrite=True`` (the
     escape hatch for tests and deliberate codec shadowing).
+    ``compress_many`` is an optional grouped encoder (same keyword
+    arguments, a list of arrays in, one payload per array out, each
+    byte-identical to ``compress``); :meth:`CodecSpec.compress_many`
+    falls back to mapping ``compress`` without it.
     """
     if not name or ":" in name or "/" in name or "\x00" in name:
         raise ConfigError(
@@ -123,7 +147,8 @@ def register_codec(name: str, compress: CompressFn,
             f"invalid codec kind {kind!r} for {name!r}; "
             f"use one of {KINDS}")
     spec = CodecSpec(name=name, compress=compress,
-                     decompress=decompress, kind=kind, source=source)
+                     decompress=decompress, kind=kind, source=source,
+                     grouped=compress_many)
     with _LOCK:
         if name in _REGISTRY and not overwrite:
             raise ConfigError(

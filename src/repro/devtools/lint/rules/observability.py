@@ -46,9 +46,9 @@ _SERVE_ENTRY_METHODS = frozenset({"handle"})
 
 #: Module-level one-call wrappers (``sz_compress``) count as entry
 #: points too, but delegating into a traced method satisfies the rule.
-_ENTRY_FN = re.compile(r"^[a-z0-9]+_(compress|decompress)$")
+_ENTRY_FN = re.compile(r"^[a-z0-9]+_(compress|decompress)(_many)?$")
 _ENTRY_METHODS = frozenset({"compress", "decompress",
-                            "compress_with_stats"})
+                            "compress_with_stats", "compress_many"})
 
 
 def _load_catalog() -> tuple[frozenset[str], frozenset[str]]:

@@ -4,10 +4,15 @@ A thin, dependency-free layer over :mod:`concurrent.futures`:
 
 * ``n_jobs=1`` (the default) runs serially with zero overhead -- the
   right choice for small inputs, where pool startup dominates;
-* ``n_jobs>1`` uses a thread pool.  The heavy kernels this project
-  parallelizes (blockwise DCT, quantization, Huffman bit packing) spend
-  their time inside NumPy C loops that release the GIL, so threads give
-  real speedup without the serialization cost of processes;
+* ``n_jobs>1`` uses a thread pool.  Threads pay off only for tasks
+  that spend their time inside large NumPy C loops that release the
+  GIL (blockwise DCT and PCA over whole fields or 32^3 chunks); they
+  avoid the serialization cost of processes.  Tasks made of many
+  small NumPy calls mostly hold the GIL, and two workers running them
+  are slower than one: with one 16^3 SZ chunk per task, a 128^3 pack
+  took 0.59 s on two threads against 0.42 s serial (2-vCPU VM).  Such
+  callers should hand the pool fewer, bigger tasks (``Store.add``
+  groups ``sz`` chunks);
 * ``n_jobs=0`` or ``None`` auto-sizes to ``os.cpu_count()``.
 
 The thread pool is process-lifetime: the first parallel call creates

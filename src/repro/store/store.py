@@ -48,12 +48,18 @@ import os
 import struct
 import time
 import weakref
+from math import prod
 from typing import Any, Iterable, Union
 
 import numpy as np
 
 from repro.archive import FieldArchive
-from repro.codecs.registry import codec_functions, codec_ids, have_codec
+from repro.codecs.registry import (
+    codec_functions,
+    codec_ids,
+    get_codec,
+    have_codec,
+)
 from repro.errors import (
     CodecError,
     ConfigError,
@@ -124,6 +130,33 @@ def open_store_stats() -> dict[str, int]:
         "cache_bytes": sum(s._cache.nbytes for s in stores),
         "cache_entries": sum(len(s._cache) for s in stores),
     }
+
+
+#: Most elements in one chunk group of a grouped codec (``sz``): 16
+#: chunks of 16^3.  Groups amortize per-call overhead; past this size
+#: a group's gains flatten while fewer groups are left to spread over
+#: the pool (see EXPERIMENTS.md for the sweep).  Codecs without a
+#: grouped encoder gain nothing from groups and keep one chunk per task.
+_GROUP_ELEMENTS = 1 << 16
+
+
+def _chunk_groups(shapes: list[tuple[int, ...]],
+                  limit: int) -> list[list[int]]:
+    """Chunk indices in same-shape groups of at most ``limit``
+    elements (at least one chunk each).
+
+    Indices stay in order inside a group, and groups are ordered by
+    their first index, so the split depends only on the chunk grid.
+    """
+    groups: list[list[int]] = []
+    open_group: dict[tuple[int, ...], list[int]] = {}
+    for i, shape in enumerate(shapes):
+        group = open_group.get(shape)
+        if group is None or (len(group) + 1) * prod(shape) > limit:
+            group = open_group[shape] = []
+            groups.append(group)
+        group.append(i)
+    return groups
 
 
 def _canonical(data: Any) -> tuple[Any, str]:
@@ -239,6 +272,12 @@ class Store:
         last, so a failure mid-append leaves the previous manifest
         intact.
 
+        A codec that registered a grouped encoder (``sz``) gets
+        same-shape chunk groups of at most :data:`_GROUP_ELEMENTS`
+        elements each, so it pays its per-call overhead once per group;
+        payloads are the same bytes as one chunk at a time.  Other
+        codecs get one chunk per task.
+
         Raises :class:`~repro.errors.ConfigError` for duplicate names,
         empty arrays, unknown codecs, or a missing/invalid budget.
         """
@@ -310,22 +349,37 @@ class Store:
                 counter_inc("store.chunks.compressed")
                 return codec, payload
         else:
-            compress, _ = codec_functions(codec)
+            spec = get_codec(codec)
 
-            def compress_one(sub: Any) -> tuple[str, bytes]:
+            def compress_group(group: list[Any]) -> list[tuple[str, bytes]]:
                 t0 = time.perf_counter()
-                payload = compress(sub, **codec_kwargs)
-                observe("store.chunk.compress.seconds",
-                        time.perf_counter() - t0)
-                counter_inc("store.chunks.compressed")
-                return codec, payload
+                payloads = spec.compress_many(group, **codec_kwargs)
+                if len(payloads) != len(group):
+                    raise CodecError(
+                        f"codec {codec!r} returned {len(payloads)} "
+                        f"payloads for {len(group)} chunks")
+                share = (time.perf_counter() - t0) / len(group)
+                for _ in group:
+                    observe("store.chunk.compress.seconds", share)
+                counter_inc("store.chunks.compressed", len(group))
+                return [(codec, payload) for payload in payloads]
 
         with span("store.add", field=name, codec=codec,
                   n_chunks=len(subs), chunk_shape=list(cshape)):
             rep = (representative_index([s.shape for s in subs], cshape)
                    if basis_cache is not None and len(subs) > 1 else None)
             pconfig = ParallelConfig(n_jobs=n_jobs, min_chunk=2)
-            if rep is None:
+            if basis_cache is None:
+                limit = _GROUP_ELEMENTS if spec.grouped is not None else 1
+                groups = _chunk_groups([s.shape for s in subs], limit)
+                done = parallel_map(compress_group,
+                                    [[subs[i] for i in g] for g in groups],
+                                    config=pconfig)
+                results = [("", b"")] * len(subs)
+                for g, pairs in zip(groups, done):
+                    for i, pair in zip(g, pairs):
+                        results[i] = pair
+            elif rep is None:
                 results = parallel_map(compress_one, subs, config=pconfig)
             else:
                 # Fit the representative chunk first, seal the basis

@@ -64,3 +64,13 @@ def test_roundtrip_property_2d(h, w, bs):
     arr = np.arange(h * w, dtype=np.float64).reshape(h, w)
     blocks, padded = split_blocks(arr, bs)
     np.testing.assert_array_equal(merge_blocks(blocks, padded, (h, w)), arr)
+
+
+@pytest.mark.parametrize("shape,bs", [((5, 6, 7), 4), ((8, 8), 4), ((9,), 3)])
+def test_leading_batch_axis_blocks_each_item_alone(shape, bs, rng):
+    batch = rng.normal(size=(3,) + shape)
+    blocks, padded = split_blocks(batch, bs, lead=1)
+    for item, got in zip(batch, blocks):
+        want, want_padded = split_blocks(item, bs)
+        np.testing.assert_array_equal(got, want)
+        assert padded == want_padded

@@ -75,3 +75,14 @@ def test_1d_blocks(rng):
 def test_bad_block_array_rejected(rng):
     with pytest.raises(DataShapeError):
         fit_blocks(rng.normal(size=8))
+
+
+def test_batched_fit_and_predict_match_each_item_alone():
+    rng = np.random.default_rng(4)
+    batch = rng.normal(size=(5, 7, 6, 6, 6))
+    coef = fit_blocks(batch, lead=2)
+    assert coef.shape == (5, 7, 4)
+    pred = predict_blocks(coef, (6, 6, 6))
+    for item, c, p in zip(batch, coef, pred):
+        np.testing.assert_array_equal(c, fit_blocks(item))
+        np.testing.assert_array_equal(p, predict_blocks(c, (6, 6, 6)))

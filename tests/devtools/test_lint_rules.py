@@ -295,6 +295,36 @@ def test_dpz501_accepts_span_and_delegation(tmp_path):
     assert findings == []
 
 
+def test_dpz501_covers_grouped_entry_points(tmp_path):
+    # compress_many is an entry point in its own right: an untraced
+    # one is flagged (method and module wrapper alike), and compress
+    # may delegate into a traced one.
+    src = """\
+        # dpzlint: module=repro.baselines.fake
+        from repro.observability import span
+
+        class FakeCompressor:
+            def compress(self, data):
+                return self.compress_many([data])[0]
+
+            def compress_many(self, arrays):
+                return [bytes(a) for a in arrays]
+
+        class Traced:
+            def compress(self, data):
+                return self.compress_many([data])[0]
+
+            def compress_many(self, arrays):
+                with span("fake.compress"):
+                    return [bytes(a) for a in arrays]
+
+        def fake_compress_many(arrays):
+            return [bytes(a) for a in arrays]
+    """
+    findings, _ = run_rule(tmp_path, "DPZ501", src)
+    assert sorted(f.line for f in findings) == [8, 19]
+
+
 def test_dpz501_helper_call_is_not_delegation(tmp_path):
     # zlib_compress matches the `*_compress` naming pattern but is NOT
     # a traced entry point; calling it must not satisfy the rule.

@@ -24,7 +24,8 @@ from repro.codecs.registry import (
     register_codec,
     unregister_codec,
 )
-from repro.errors import ConfigError
+from repro.errors import CodecError, ConfigError
+from repro.observability import Tracer, use_tracer
 from repro.store import MemoryStore, Store
 
 
@@ -187,3 +188,64 @@ class TestEndToEnd:
         st = Store.open(bk)
         with pytest.raises(FormatError, match="ephemeral-test"):
             st.get("f")
+
+
+class TestGroupedEncoders:
+    def test_default_maps_compress(self, xor_codec, rng):
+        spec = get_codec(xor_codec)
+        assert spec.grouped is None
+        items = [rng.normal(size=(3, 2)), rng.normal(size=(4,))]
+        assert spec.compress_many(items) == [_xor_compress(x)
+                                             for x in items]
+
+    def test_builtin_sz_registers_its_grouped_encoder(self):
+        from repro.baselines.sz import sz_compress_many
+
+        assert get_codec("sz").grouped is sz_compress_many
+        assert get_codec("zfp").grouped is None
+
+    def test_store_hands_same_shape_groups_to_grouped_encoder(self, rng):
+        calls: list[list[tuple[int, ...]]] = []
+
+        def many(arrays, **kw):
+            calls.append([a.shape for a in arrays])
+            return [_xor_compress(a, **kw) for a in arrays]
+
+        register_codec("xor-many", _xor_compress, _xor_decompress,
+                       kind="lossless", compress_many=many)
+        try:
+            data = rng.normal(size=(10, 8)).astype("<f4")
+            with Store.create(MemoryStore()) as st:
+                st.add("f", data, codec="xor-many", chunk_shape=(4, 4))
+                np.testing.assert_array_equal(st.get("f"), data)
+        finally:
+            unregister_codec("xor-many")
+        # 3 x 2 grid: rows 0-1 are full 4x4 chunks, row 2 is 2x4.
+        assert calls == [[(4, 4)] * 4, [(2, 4)] * 2]
+
+    @pytest.mark.parametrize("codec, kw, n_tasks",
+                             [("zfp", {"tolerance": 1e-2}, 20),
+                              ("sz", {"eps": 1e-2}, 2)])
+    def test_only_grouped_encoders_get_groups(self, rng, codec, kw,
+                                              n_tasks):
+        """A codec without a grouped encoder keeps one chunk per pool
+        task; ``sz`` gets one task per group of at most 16 chunks."""
+        data = rng.normal(size=(80, 32, 32)).astype("<f4")
+        with use_tracer(Tracer()) as tracer:
+            with Store.create(MemoryStore()) as st:
+                st.add("f", data, codec=codec, chunk_shape=(16, 16, 16),
+                       n_jobs=2, **kw)
+        maps = [s for s in tracer.spans if s.name == "parallel.map"]
+        assert [s.meta["n_items"] for s in maps] == [n_tasks]
+
+    def test_grouped_encoder_payload_count_checked(self, rng):
+        register_codec("xor-short", _xor_compress, _xor_decompress,
+                       kind="lossless",
+                       compress_many=lambda arrays, **kw: [])
+        try:
+            st = Store.create(MemoryStore())
+            with pytest.raises(CodecError, match="0 payloads for 2"):
+                st.add("f", rng.normal(size=(8,)), codec="xor-short",
+                       chunk_shape=(4,))
+        finally:
+            unregister_codec("xor-short")
