@@ -124,6 +124,10 @@ class ServeApp:
         self._drain_timeout = float(drain_timeout)
         self._drainer = Drainer()
         self._pending = 0
+        #: Open connections' handler tasks, and the writers of those
+        #: parked between requests (idle keep-alive).
+        self._conn_tasks: set[asyncio.Task[None]] = set()
+        self._idle: set[asyncio.StreamWriter] = set()
         self.started_at = time.time()
         self.started_utc = time.strftime(
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime(self.started_at))
@@ -183,12 +187,20 @@ class ServeApp:
             await stop.wait()
         finally:
             # Graceful drain: stop accepting, refuse new requests,
-            # wait (bounded) for in-flight ones, then tear down.
+            # close idle keep-alive connections, wait (bounded) for
+            # in-flight ones and their handlers, then tear down.  A
+            # handler left parked in a read would be cancelled at loop
+            # teardown, which asyncio reports on stderr.
             server.close()
             self._drainer.close()
+            for writer in list(self._idle):
+                writer.close()
             loop = asyncio.get_running_loop()
             await loop.run_in_executor(
                 None, self._drainer.wait_idle, self._drain_timeout)
+            if self._conn_tasks:
+                await asyncio.wait(self._conn_tasks,
+                                   timeout=self._drain_timeout)
             await server.wait_closed()
             pool.shutdown(wait=True, cancel_futures=True)
             self.registry.close()
@@ -199,9 +211,14 @@ class ServeApp:
 
     async def _handle_conn(self, reader: "asyncio.StreamReader",
                            writer: "asyncio.StreamWriter") -> None:
+        task = asyncio.current_task()
+        if task is not None:
+            self._conn_tasks.add(task)
         try:
-            while True:
+            while not self.draining:
+                self._idle.add(writer)
                 head = await self._read_head(reader, writer)
+                self._idle.discard(writer)
                 if head is None:
                     return
                 method, target, version, headers = head
@@ -213,6 +230,9 @@ class ServeApp:
                 asyncio.LimitOverrunError, TimeoutError):
             pass  # client went away or overran; nothing to salvage
         finally:
+            self._idle.discard(writer)
+            if task is not None:
+                self._conn_tasks.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -267,6 +287,7 @@ class ServeApp:
         try:
             status, body, ctype, extra = await self._dispatch(
                 method, target)
+            keep = keep and not self.draining
             await self._write(writer, version, status, body, ctype,
                               keep=keep, extra=extra)
         finally:

@@ -68,6 +68,7 @@ from repro.errors import (
     StoreKeyError,
 )
 from repro.observability import counter_inc, gauge_set, observe, span
+from repro.parallel.blas import single_thread
 from repro.parallel.executor import ParallelConfig, parallel_map
 from repro.store import chunking
 from repro.store.backends import (
@@ -385,12 +386,14 @@ class Store:
                 # Fit the representative chunk first, seal the basis
                 # cache, then fan out: every sibling verifies against
                 # one fixed basis, so payload bytes are independent of
-                # n_jobs and thread interleaving.
-                seeded = compress_one(subs[rep])
-                basis_cache.seal()
-                rest = parallel_map(compress_one,
-                                    subs[:rep] + subs[rep + 1:],
-                                    config=pconfig)
+                # n_jobs and thread interleaving.  The seed fit runs on
+                # one BLAS thread, like every task of the map.
+                with single_thread():
+                    seeded = compress_one(subs[rep])
+                    basis_cache.seal()
+                    rest = parallel_map(compress_one,
+                                        subs[:rep] + subs[rep + 1:],
+                                        config=pconfig)
                 results = rest[:rep] + [seeded] + rest[rep:]
             meta = FieldMeta(
                 name=name, codec_label=codec, dtype_tag=dtype_tag,

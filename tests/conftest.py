@@ -55,3 +55,21 @@ def tiny_3d(rng) -> np.ndarray:
     zz, yy, xx = np.meshgrid(g, g, g, indexing="ij")
     field = np.exp(-(xx ** 2 + yy ** 2 + zz ** 2) * 2.0)
     return (field + 0.005 * rng.normal(size=field.shape)).astype(np.float32)
+
+
+@pytest.fixture
+def blas_threads():
+    """Every loaded OpenBLAS on at least two threads for the test.
+
+    A one-thread pin then shows, whatever the environment set the
+    count to.  Yields the per-library counts; restores the old ones.
+    """
+    from repro.parallel import blas
+
+    libs = blas._libraries()
+    before = [int(get()) for _, get, _ in libs]
+    for (_, _, set_), n in zip(libs, before):
+        set_(max(n, 2))
+    yield [max(n, 2) for n in before]
+    for (_, _, set_), n in zip(libs, before):
+        set_(n)

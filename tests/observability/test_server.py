@@ -93,7 +93,10 @@ class TestRoutes:
         assert health["status"] == "ok"
         assert health["uptime_s"] >= 0.0
         assert isinstance(health["tracing"], bool)
-        assert {"created", "workers", "alive"} <= set(health["pool"])
+        assert {"created", "workers", "alive", "blas"} <= set(health["pool"])
+        blas = health["pool"]["blas"]
+        assert set(blas) == {"libs", "threads"}
+        assert len(blas["libs"]) == len(blas["threads"])
         assert {"open_stores", "cache_bytes"} <= set(health["stores"])
 
     def test_runs_round_trips_registry(self, server, tmp_path,

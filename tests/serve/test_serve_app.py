@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import threading
@@ -95,6 +96,8 @@ class TestRoutes:
         assert h["status"] == "ok"
         assert h["serving"] == ["snap"]
         assert h["workers"] == 2
+        assert {"created", "workers", "alive", "blas"} <= set(h["pool"])
+        assert set(h["pool"]["blas"]) == {"libs", "threads"}
 
     def test_metrics_text_and_json(self, client):
         client.stores()
@@ -238,6 +241,27 @@ class TestLifecycle:
         assert app.draining
         with pytest.raises(Exception):
             ServeClient(app.host, app.port, timeout=2.0).stores()
+
+    def test_close_with_idle_keepalive_client_is_quiet(self, store_path,
+                                                       capfd, caplog):
+        # Drain closes a connection parked between requests; its
+        # handler ends on EOF instead of being cancelled at loop
+        # teardown, which asyncio reports as "Exception in callback".
+        registry = StoreRegistry([store_path], cache_bytes=0)
+        app = ServeApp(registry, port=0, workers=1)
+        srv = BackgroundServer(app).start()
+        conn = http.client.HTTPConnection(app.host, app.port, timeout=10)
+        try:
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert resp.getheader("Connection") == "keep-alive"
+            resp.read()
+            srv.close()
+        finally:
+            conn.close()
+        assert capfd.readouterr().err == ""
+        assert [r.getMessage() for r in caplog.records] == []
 
     def test_close_is_idempotent(self, store_path):
         registry = StoreRegistry([store_path], cache_bytes=0)

@@ -18,13 +18,14 @@ from hypothesis import strategies as hst
 
 from repro.api import dpz_decompress, scheme_config
 from repro.core.compressor import DPZCompressor
+from repro.datasets import climate
 from repro.observability import (
     Tracer,
     counters_snapshot,
     metrics_reset,
     use_tracer,
 )
-from repro.store import Store
+from repro.store import MemoryStore, Store
 from repro.store.basis import (
     BasisCache,
     compress_dpz,
@@ -163,6 +164,28 @@ class TestStoreIntegration:
                     for p in sorted(path.rglob("*")) if p.is_file()]
 
         assert payload_bytes(1) == payload_bytes(4)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"tve_nines": 5}],
+                             ids=["siblings-reuse", "siblings-refit"])
+    def test_fldsc_chunk_bytes_independent_of_n_jobs(self, blas_threads,
+                                                     kwargs):
+        # Chunks this large make OpenBLAS thread its calls, and the
+        # thread count changes its rounding: the seed fit and every
+        # task list, serial or pooled, run on one BLAS thread.  At five
+        # nines every sibling declines the seeded basis and refits on
+        # the serial or the pooled branch.
+        field = climate.fldsc((450, 900))
+
+        def backend(n_jobs: int) -> dict[str, bytes]:
+            mem = MemoryStore()
+            with Store.create(mem) as st:
+                st.add("f", field, codec="dpz", chunk_shape=(225, 450),
+                       n_jobs=n_jobs, **kwargs)
+            return dict(mem.items())
+
+        serial = backend(1)
+        assert backend(2) == serial
+        assert backend(4) == serial
 
 
 @settings(max_examples=20)
