@@ -553,12 +553,8 @@ def _cmd_top(args) -> int:
     from repro.observability import metrics_snapshot
     from repro.observability.top import Dashboard
 
-    server = None
-    if args.listen is not None:
-        from repro.observability.server import start_server
-
-        server = start_server(args.listen)
-        print(f"serving telemetry on {server.url}", file=sys.stderr)
+    server = (None if args.listen is None
+              else _start_telemetry(args.listen))
 
     def fetch() -> dict:
         if args.url:
@@ -807,6 +803,32 @@ def _cmd_store(args) -> int:
     return 0
 
 
+def _start_telemetry(port: int):
+    """Serve ``/metrics``, ``/metrics.json``, ``/healthz`` and ``/runs``
+    on ``port`` from a store-less app; returns the started
+    :class:`~repro.serve.app.BackgroundServer`."""
+    from repro.serve import BackgroundServer, ServeApp, StoreRegistry
+
+    app = ServeApp(StoreRegistry([], cache_bytes=0), port=port, workers=1)
+    server = BackgroundServer(app).start()
+    print(f"serving telemetry on {app.url}", file=sys.stderr)
+    return server
+
+
+def _metrics_port_from_env() -> int | None:
+    """``$DPZ_METRICS_PORT`` as a port, ``None`` when unset or blank."""
+    import os as _os
+
+    raw = _os.environ.get("DPZ_METRICS_PORT", "")
+    if not raw.strip():
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"$DPZ_METRICS_PORT must be an integer port, "
+                          f"got {raw!r}") from None
+
+
 def _cmd_serve(args) -> int:
     import asyncio
     import signal
@@ -894,36 +916,32 @@ def main(argv: list[str] | None = None) -> int:
     another terminal.  ``dpz top`` itself is exempt: it has its own
     ``--listen`` flag and must not steal the port it wants to poll.
     """
-    import os as _os
-
     from repro.errors import ReproError
 
     args = build_parser().parse_args(argv)
     server = None
     prev_tracer = _UNSET = object()
     try:
-        if (_os.environ.get("DPZ_METRICS_PORT")
-                and args.command != "top"):
+        port = None if args.command == "top" else _metrics_port_from_env()
+        if port is not None:
             from repro.observability import Tracer, get_tracer, set_tracer
-            from repro.observability.server import maybe_start_from_env
 
-            server = maybe_start_from_env()
-            if server is not None:
-                print(f"serving telemetry on {server.url}",
-                      file=sys.stderr)
-                if get_tracer() is None:
-                    prev_tracer = set_tracer(Tracer())
+            # The full tracer goes in first, so the telemetry host
+            # finds it active and does not install its own.
+            if get_tracer() is None:
+                prev_tracer = set_tracer(Tracer())
+            server = _start_telemetry(port)
         return _COMMANDS[args.command](args)
     except (_CLIError, ReproError) as exc:
         print(f"dpz {args.command}: error: {exc}", file=sys.stderr)
         return 2
     finally:
+        if server is not None:
+            server.close()
         if prev_tracer is not _UNSET:
             from repro.observability import set_tracer
 
             set_tracer(prev_tracer)
-        if server is not None:
-            server.close()
 
 
 if __name__ == "__main__":  # pragma: no cover

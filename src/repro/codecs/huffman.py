@@ -57,7 +57,7 @@ from numpy.typing import NDArray
 from repro.codecs.varint import decode_uvarint, encode_uvarint
 from repro.codecs.zlibc import zlib_compress, zlib_decompress
 from repro.errors import CodecError
-from repro.observability import counter_add, observe, span
+from repro.observability import counter_inc, observe, span
 
 __all__ = ["HuffmanTable", "huffman_encode", "huffman_encode_many",
            "huffman_decode", "MAX_CODE_LENGTH"]
@@ -466,8 +466,8 @@ def huffman_encode_many(streams: Sequence[NDArray[Any]],
                zip(headers, byte0.tolist(), nbytes.tolist())]
         bytes_out = sum(len(o) for o, k in zip(out, sizes.tolist()) if k)
         sp.add(bytes_out=bytes_out)
-    counter_add("huffman.encode.symbols", n)
-    counter_add("huffman.encode.bytes_out", bytes_out)
+    counter_inc("huffman.encode.symbols", n)
+    counter_inc("huffman.encode.bytes_out", bytes_out)
     for k in sizes[sizes > 0].tolist():
         observe("huffman.encode.symbols_per_call", k, lo=1.0, hi=1e9)
     return out
@@ -797,7 +797,7 @@ def huffman_decode(data: bytes, table: HuffmanTable,
     n, pos = decode_uvarint(data, offset)
     if n == 0:
         return np.zeros(0, dtype=np.int64), pos
-    counter_add("huffman.decode.symbols", n)
+    counter_inc("huffman.decode.symbols", n)
     observe("huffman.decode.symbols_per_call", n, lo=1.0, hi=1e9)
     path = "jump" if n < _JUMP_CUTOFF else "speculative"
     with span("huffman.decode", n_symbols=n, path=path) as sp:

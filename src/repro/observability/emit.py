@@ -20,8 +20,7 @@ from __future__ import annotations
 import json
 from typing import IO, Iterable
 
-from repro.observability.counters import counters_snapshot
-from repro.observability.metrics import metrics_snapshot
+from repro.observability.metrics import counters_snapshot, metrics_snapshot
 from repro.observability.tracer import Span, Tracer
 
 __all__ = ["spans_to_ndjson", "write_ndjson", "trace_summary",

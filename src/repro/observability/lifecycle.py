@@ -1,25 +1,13 @@
-"""Shared server-lifecycle plumbing: bind, one-line errors, drain.
+"""Listener plumbing for the one HTTP stack: bind and one-line errors.
 
-Two listeners live in this codebase -- the threaded telemetry endpoint
-(:mod:`repro.observability.server`) and the asyncio region-retrieval
-service (:mod:`repro.serve.app`) -- and both need the same three
-things:
-
-* **Binding** a TCP port or a unix socket, where every operator-level
-  failure (port taken, privileged port, stale socket path owned by a
-  live process) surfaces as a one-line
-  :class:`~repro.errors.ConfigError`, never a socket traceback.
-* **Tracking in-flight requests** so shutdown can *drain*: stop
-  accepting, let the requests already being served finish (bounded by
-  a timeout), then release the socket.
-* The same **message shapes** for both, so ``$DPZ_METRICS_PORT`` and
-  ``dpz serve`` cannot drift apart in behaviour or wording.
-
-This module is that single implementation.  It is transport-agnostic:
-:class:`Drainer` is plain ``threading`` (usable from handler threads
-and, via cheap non-blocking calls, from an event loop), and the bind
-helpers return ready-to-listen sockets that either server kind can
-adopt.
+The asyncio server (:mod:`repro.serve.app`) is the only listener in
+this codebase; it serves region reads for ``dpz serve`` and live
+telemetry for ``dpz top --listen`` and ``$DPZ_METRICS_PORT``.  Binding
+a TCP port or a unix socket happens here, and every operator-level
+failure (port taken, privileged port, stale socket path owned by a
+live process) surfaces as a one-line
+:class:`~repro.errors.ConfigError`, never a socket traceback.  The
+helpers return ready-to-listen sockets that the server adopts.
 """
 
 from __future__ import annotations
@@ -27,20 +15,18 @@ from __future__ import annotations
 import os
 import socket
 import stat
-import threading
-import time
-from types import TracebackType
-from typing import Union
 
 from repro.errors import ConfigError
 
 __all__ = [
-    "Drainer",
     "validate_port",
     "bind_failure",
     "bind_tcp_socket",
     "bind_unix_socket",
 ]
+
+#: The listener kind named in every bind error.
+_WHAT = "serve"
 
 
 def validate_port(port: int) -> int:
@@ -50,19 +36,14 @@ def validate_port(port: int) -> int:
     return int(port)
 
 
-def bind_failure(what: str, location: str,
-                 exc: OSError) -> ConfigError:
-    """The shared one-line bind-error shape for every listener.
-
-    ``what`` names the server kind (``"telemetry"`` / ``"serve"``) so
-    an operator juggling both knows which flag or env var to fix.
-    """
+def bind_failure(location: str, exc: OSError) -> ConfigError:
+    """The one-line bind-error shape for TCP and unix listeners."""
     return ConfigError(
-        f"cannot bind {what} listener on {location}: "
+        f"cannot bind {_WHAT} listener on {location}: "
         f"{exc.strerror or exc}")
 
 
-def bind_tcp_socket(host: str, port: int, *, what: str,
+def bind_tcp_socket(host: str, port: int, *,
                     backlog: int = 128) -> socket.socket:
     """Bind and listen on ``host:port``; returns the listening socket.
 
@@ -78,11 +59,11 @@ def bind_tcp_socket(host: str, port: int, *, what: str,
         sock.listen(backlog)
     except OSError as exc:
         sock.close()
-        raise bind_failure(what, f"{host}:{port}", exc) from None
+        raise bind_failure(f"{host}:{port}", exc) from None
     return sock
 
 
-def bind_unix_socket(path: str, *, what: str,
+def bind_unix_socket(path: str, *,
                      backlog: int = 128) -> socket.socket:
     """Bind and listen on a unix-domain socket path.
 
@@ -98,7 +79,7 @@ def bind_unix_socket(path: str, *, what: str,
     if mode is not None:
         if not stat.S_ISSOCK(mode):
             raise ConfigError(
-                f"refusing to bind {what} listener on {path!r}: path "
+                f"refusing to bind {_WHAT} listener on {path!r}: path "
                 f"exists and is not a socket")
         probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
@@ -107,7 +88,7 @@ def bind_unix_socket(path: str, *, what: str,
             os.unlink(path)  # stale: owner is gone
         else:
             raise ConfigError(
-                f"cannot bind {what} listener on {path!r}: socket is "
+                f"cannot bind {_WHAT} listener on {path!r}: socket is "
                 f"in use by a live process")
         finally:
             probe.close()
@@ -117,73 +98,5 @@ def bind_unix_socket(path: str, *, what: str,
         sock.listen(backlog)
     except OSError as exc:
         sock.close()
-        raise bind_failure(what, repr(path), exc) from None
+        raise bind_failure(repr(path), exc) from None
     return sock
-
-
-class Drainer:
-    """Thread-safe in-flight request counter with a drain barrier.
-
-    Handlers wrap their work in ``with drainer.track():``; shutdown
-    calls :meth:`wait_idle` after the listener stops accepting, so
-    requests already in flight complete before the socket is released.
-    Entering a closed drainer raises ``ConfigError`` -- a late request
-    racing shutdown is refused instead of half-served.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._active = 0
-        self._closed = False
-
-    @property
-    def active(self) -> int:
-        """How many requests are currently tracked."""
-        with self._cond:
-            return self._active
-
-    @property
-    def closed(self) -> bool:
-        """Whether shutdown has begun (new entries are refused)."""
-        with self._cond:
-            return self._closed
-
-    def track(self) -> "Drainer":
-        """Context manager marking one request in flight."""
-        return self
-
-    def __enter__(self) -> "Drainer":
-        with self._cond:
-            if self._closed:
-                raise ConfigError("server is draining; request refused")
-            self._active += 1
-        return self
-
-    def __exit__(self, exc_type: Union[type, None],
-                 exc: Union[BaseException, None],
-                 tb: Union[TracebackType, None]) -> None:
-        with self._cond:
-            self._active -= 1
-            if self._active <= 0:
-                self._cond.notify_all()
-
-    def close(self) -> None:
-        """Refuse new :meth:`track` entries from now on."""
-        with self._cond:
-            self._closed = True
-
-    def wait_idle(self, timeout: float = 5.0) -> bool:
-        """Block until no request is in flight; True if fully drained.
-
-        Returns ``False`` when ``timeout`` elapsed with requests still
-        running -- the caller then closes anyway (bounded shutdown
-        beats a hung one).
-        """
-        deadline = time.monotonic() + timeout
-        with self._cond:
-            while self._active > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    return False
-                self._cond.wait(remaining)
-            return True

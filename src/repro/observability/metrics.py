@@ -67,6 +67,8 @@ __all__ = [
     "observe",
     "metrics_snapshot",
     "metrics_reset",
+    "counters_snapshot",
+    "counters_reset",
     "render_prometheus",
     "metrics_enabled",
 ]
@@ -514,6 +516,20 @@ def metrics_snapshot() -> dict:
 def metrics_reset() -> None:
     """Zero every metric in the default registry."""
     _REGISTRY.reset()
+
+
+def counters_snapshot() -> dict[str, int]:
+    """Non-zero counter values of the default registry, sorted by name.
+
+    Gauges and histograms are reported by :func:`metrics_snapshot`.
+    """
+    snap = _REGISTRY.snapshot()["counters"]
+    return {name: value for name, value in snap.items() if value}
+
+
+def counters_reset() -> None:
+    """Zero every counter (typically paired with a fresh Tracer)."""
+    _REGISTRY.reset(kinds=("counter",))
 
 
 def render_prometheus(prefix: str = "repro_") -> str:

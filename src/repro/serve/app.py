@@ -1,4 +1,8 @@
-"""The ``dpz serve`` application: asyncio accept loop + worker pool.
+"""The one HTTP stack: asyncio accept loop + worker pool.
+
+It serves region reads for ``dpz serve`` and, as an app with no
+stores, live telemetry for ``dpz top --listen`` and
+``$DPZ_METRICS_PORT``.
 
 Architecture (one process, stdlib only)::
 
@@ -7,14 +11,15 @@ Architecture (one process, stdlib only)::
     parse HTTP/1.1 request           ---->   serve.request span
     route + backpressure check               registry.get(alias)
     cheap routes answered inline             store.get_region(...)
-    queue region/manifest work               encode DPZR frame
+    queue region/manifest/runs work          encode DPZR frame
     write response, keep-alive loop  <----   return bytes
 
-The event loop never blocks on a decode: region and manifest requests
-run on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`, and
-when more than ``max_queue`` of them are in flight the server *sheds*
--- HTTP 503 with a ``Retry-After`` hint -- instead of queueing without
-bound (``serve.shed``).  Concurrent requests that miss on the same
+The event loop never blocks on a decode or a file read: region,
+manifest and ``/runs`` requests run on a bounded
+:class:`~concurrent.futures.ThreadPoolExecutor`, and when more than
+``max_queue`` of them are in flight the server *sheds* -- HTTP 503
+with a ``Retry-After`` hint -- instead of queueing without bound
+(``serve.shed``).  Concurrent requests that miss on the same
 chunk decode it once via the registry's per-store
 :class:`~repro.serve.coalesce.CoalescingChunkCache`.
 
@@ -22,14 +27,14 @@ Observability: the app installs a ``retain_spans=False``
 :class:`~repro.observability.Tracer` when none is active (so
 ``serve.*`` and ``store.*`` metrics flow without accumulating span
 records), opens a ``serve.request`` span around each worker-side
-request, and exposes its own registry at ``/metrics`` /
-``/metrics.json`` / ``/healthz`` -- the same payloads as the
-:mod:`repro.observability.server` telemetry endpoint.
+request, and exposes the default registry at ``/metrics`` /
+``/metrics.json``, liveness at ``/healthz`` and the run registry at
+``/runs`` (payloads in FORMATS.md).
 
-Shutdown is graceful: stop accepting, refuse new requests (503),
-drain in-flight ones through the shared
-:class:`~repro.observability.lifecycle.Drainer`, then tear down the
-pool.  ``dpz serve`` wires SIGTERM/SIGINT to exactly this path.
+Shutdown is graceful: stop accepting, refuse new requests (503), wait
+(bounded) for the connection tasks that carry in-flight requests, then
+tear down the pool and release the listener with :meth:`ServeApp.close`.
+``dpz serve`` wires SIGTERM/SIGINT to exactly this path.
 """
 
 from __future__ import annotations
@@ -45,13 +50,9 @@ from typing import Any
 from repro.errors import ConfigError, DataShapeError, ReproError
 from repro.observability import counter_inc, gauge_set, observe, span
 from repro.observability import tracer as _tracer
-from repro.observability.lifecycle import (
-    Drainer,
-    bind_tcp_socket,
-    bind_unix_socket,
-    validate_port,
-)
+from repro.observability.lifecycle import bind_tcp_socket, bind_unix_socket
 from repro.observability.metrics import get_registry, metrics_snapshot
+from repro.observability.runlog import load_runs, resolve_runlog
 from repro.serve.protocol import (
     REGION_CONTENT_TYPE,
     ROUTES,
@@ -76,8 +77,8 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 def _healthz_payload(app: "ServeApp") -> dict[str, Any]:
-    # Lazy imports mirror repro.observability.server: both modules are
-    # import cycles at module scope, cheap at request time.
+    # Lazy imports: the executor and store packages import
+    # observability, a cycle at module scope, cheap at request time.
     from repro.parallel.executor import pool_status
     from repro.store.store import open_store_stats
 
@@ -97,13 +98,24 @@ def _healthz_payload(app: "ServeApp") -> dict[str, Any]:
     }
 
 
+def _runs_payload() -> list[dict[str, Any]]:
+    """The run registry as a list; a missing file is ``[]``."""
+    try:
+        return load_runs(resolve_runlog())
+    except FileNotFoundError:
+        return []
+
+
 class ServeApp:
-    """One bound, runnable region-retrieval server.
+    """One bound, runnable region-retrieval and telemetry server.
 
     Construction binds the listener (so address conflicts surface as a
     one-line :class:`~repro.errors.ConfigError` before any thread
-    starts); :meth:`run` serves until the given stop event fires; use
-    :class:`BackgroundServer` to run it on a daemon thread.
+    starts); :meth:`run` serves until the given stop event fires;
+    :meth:`close` releases the listener; use :class:`BackgroundServer`
+    to run it on a daemon thread.  With an empty registry it is the
+    telemetry host: ``/metrics``, ``/metrics.json``, ``/healthz`` and
+    ``/runs``.
     """
 
     def __init__(self, registry: StoreRegistry, *,
@@ -122,7 +134,9 @@ class ServeApp:
         self.workers = int(workers)
         self.max_queue = int(max_queue)
         self._drain_timeout = float(drain_timeout)
-        self._drainer = Drainer()
+        #: Set on the loop thread when shutdown begins; requests that
+        #: arrive afterwards get a 503.
+        self._draining = False
         self._pending = 0
         #: Open connections' handler tasks, and the writers of those
         #: parked between requests (idle keep-alive).
@@ -133,11 +147,10 @@ class ServeApp:
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime(self.started_at))
         self.unix_socket = unix_socket
         if unix_socket is not None:
-            self._sock = bind_unix_socket(unix_socket, what="serve")
+            self._sock = bind_unix_socket(unix_socket)
             self.host, self.port = "", 0
         else:
-            validate_port(port)
-            self._sock = bind_tcp_socket(host, port, what="serve")
+            self._sock = bind_tcp_socket(host, port)
             self.host = host
             self.port = int(self._sock.getsockname()[1])
 
@@ -158,7 +171,7 @@ class ServeApp:
     @property
     def draining(self) -> bool:
         """Whether graceful shutdown has begun."""
-        return self._drainer.closed
+        return self._draining
 
     # -- lifecycle --------------------------------------------------------
 
@@ -187,25 +200,34 @@ class ServeApp:
             await stop.wait()
         finally:
             # Graceful drain: stop accepting, refuse new requests,
-            # close idle keep-alive connections, wait (bounded) for
-            # in-flight ones and their handlers, then tear down.  A
-            # handler left parked in a read would be cancelled at loop
-            # teardown, which asyncio reports on stderr.
+            # close idle keep-alive connections, then wait (bounded)
+            # for the connection tasks -- every in-flight request runs
+            # inside one -- and tear down.  A handler left parked in a
+            # read would be cancelled at loop teardown, which asyncio
+            # reports on stderr.
             server.close()
-            self._drainer.close()
+            self._draining = True
             for writer in list(self._idle):
                 writer.close()
-            loop = asyncio.get_running_loop()
-            await loop.run_in_executor(
-                None, self._drainer.wait_idle, self._drain_timeout)
             if self._conn_tasks:
                 await asyncio.wait(self._conn_tasks,
                                    timeout=self._drain_timeout)
             await server.wait_closed()
             pool.shutdown(wait=True, cancel_futures=True)
-            self.registry.close()
+            # Before the tracer goes, so the caches' invalidation
+            # counts are still recorded.
+            self.close()
             if owned_tracer is not None:
                 _tracer.set_tracer(previous)
+
+    def close(self) -> None:
+        """Release the listener and the store handles; idempotent.
+
+        :meth:`run` ends here; an app that never ran calls it to free
+        its bound port.
+        """
+        self._sock.close()
+        self.registry.close()
 
     # -- connection handling ----------------------------------------------
 
@@ -277,9 +299,7 @@ class ServeApp:
         counter_inc("serve.requests")
         keep = (version != "HTTP/1.0"
                 and headers.get("connection", "").lower() != "close")
-        try:
-            tracked = self._drainer.track().__enter__()
-        except ConfigError:
+        if self._draining:
             await self._write_error(writer, version, 503,
                                     "server is draining",
                                     retry_after=1.0)
@@ -287,11 +307,10 @@ class ServeApp:
         try:
             status, body, ctype, extra = await self._dispatch(
                 method, target)
-            keep = keep and not self.draining
+            keep = keep and not self._draining
             await self._write(writer, version, status, body, ctype,
                               keep=keep, extra=extra)
         finally:
-            tracked.__exit__(None, None, None)
             observe("serve.request.seconds", time.perf_counter() - t0)
         return keep
 
@@ -317,8 +336,9 @@ class ServeApp:
                 return 200, _json({
                     "stores": self.registry.aliases()}), \
                     "application/json", {}
-            # manifest / region hit the store: bounded worker pool with
-            # queue-depth backpressure.
+            # manifest / region hit the store and runs reads a file of
+            # any size: bounded worker pool with queue-depth
+            # backpressure.
             return await self._offload(route)
         except RequestFailed as exc:
             if exc.status != 503:  # sheds count as serve.shed, not errors
@@ -339,8 +359,8 @@ class ServeApp:
                 500, f"{type(exc).__name__}: {exc}"), \
                 "application/json", {}
         # A handler bug must become a 500 response, never an unhandled
-        # traceback killing the connection task -- the same blanket
-        # catch the telemetry server carries.
+        # traceback killing the connection task -- one of the rare
+        # places a blanket catch is the correct taxonomy.
         except Exception as exc:  # dpzlint: ignore[DPZ302]
             counter_inc("serve.errors")
             return 500, error_body(
@@ -373,7 +393,7 @@ class ServeApp:
         return status, body, ctype, {}
 
     def handle(self, route: Route) -> tuple[int, bytes, str]:
-        """Serve one manifest/region route synchronously.
+        """Serve one manifest/region/runs route synchronously.
 
         The worker-pool body -- and the in-process dispatch surface
         tests can call without a socket.  Raises
@@ -385,6 +405,8 @@ class ServeApp:
             if route.kind == "manifest":
                 return 200, _json(self.registry.manifest(route.alias)), \
                     "application/json"
+            if route.kind == "runs":
+                return 200, _json(_runs_payload()), "application/json"
             store = self.registry.get(route.alias)
             if route.field not in store.names():
                 raise RequestFailed(
@@ -453,7 +475,7 @@ class BackgroundServer:
     ...     client = ServeClient(app.host, app.port)
 
     ``close`` performs the same graceful drain the CLI's SIGTERM path
-    does.
+    does, and releases the app's listener even if it never started.
     """
 
     def __init__(self, app: ServeApp) -> None:
@@ -491,15 +513,15 @@ class BackgroundServer:
     def close(self) -> None:
         """Graceful drain + thread join; idempotent."""
         thread, self._thread = self._thread, None
-        if thread is None:
-            return
-        loop, stop = self._loop, self._stop
-        if loop is not None and stop is not None:
-            try:
-                loop.call_soon_threadsafe(stop.set)
-            except RuntimeError:
-                pass  # loop already dead
-        thread.join(timeout=30.0)
+        if thread is not None:
+            loop, stop = self._loop, self._stop
+            if loop is not None and stop is not None:
+                try:
+                    loop.call_soon_threadsafe(stop.set)
+                except RuntimeError:
+                    pass  # loop already dead
+            thread.join(timeout=30.0)
+        self._app.close()
 
     def __enter__(self) -> "BackgroundServer":
         return self.start()

@@ -11,7 +11,7 @@ from repro.core.compressor import DPZCompressor
 from repro.core.config import DPZ_L
 from repro.observability import (
     Tracer,
-    counter_add,
+    counter_inc,
     counters_reset,
     counters_snapshot,
     get_registry,
@@ -101,12 +101,12 @@ def test_spans_to_ndjson_empty_tracer():
 
 
 def test_counters_gated_on_tracing():
-    counter_add("x.calls")  # no tracer installed: dropped
+    counter_inc("x.calls")  # no tracer installed: dropped
     assert counters_snapshot() == {}
     with use_tracer(Tracer()):
-        counter_add("x.calls")
-        counter_add("x.bytes", 100)
-        counter_add("x.bytes", 23)
+        counter_inc("x.calls")
+        counter_inc("x.bytes", 100)
+        counter_inc("x.bytes", 23)
     snap = counters_snapshot()
     assert snap == {"x.bytes": 123, "x.calls": 1}
     counters_reset()

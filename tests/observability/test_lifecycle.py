@@ -1,16 +1,13 @@
-"""Shared server-lifecycle plumbing: bind helpers and the Drainer."""
+"""Listener plumbing: bind helpers, one-line errors, drain."""
 
 from __future__ import annotations
 
 import socket
-import threading
-import time
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.observability.lifecycle import (
-    Drainer,
     bind_failure,
     bind_tcp_socket,
     bind_unix_socket,
@@ -31,7 +28,7 @@ class TestValidatePort:
 
 class TestBindTcp:
     def test_binds_and_listens(self):
-        sock = bind_tcp_socket("127.0.0.1", 0, what="test")
+        sock = bind_tcp_socket("127.0.0.1", 0)
         try:
             host, port = sock.getsockname()
             assert port > 0
@@ -41,26 +38,26 @@ class TestBindTcp:
             sock.close()
 
     def test_conflict_is_one_line_config_error(self):
-        sock = bind_tcp_socket("127.0.0.1", 0, what="test")
+        sock = bind_tcp_socket("127.0.0.1", 0)
         try:
             port = sock.getsockname()[1]
             with pytest.raises(ConfigError,
-                               match="cannot bind test listener"):
-                bind_tcp_socket("127.0.0.1", port, what="test")
+                               match="cannot bind serve listener"):
+                bind_tcp_socket("127.0.0.1", port)
         finally:
             sock.close()
 
     def test_bind_failure_message_shape(self):
-        err = bind_failure("telemetry", "127.0.0.1:9412",
+        err = bind_failure("127.0.0.1:9412",
                            OSError(98, "Address already in use"))
-        assert str(err) == ("cannot bind telemetry listener on "
+        assert str(err) == ("cannot bind serve listener on "
                             "127.0.0.1:9412: Address already in use")
 
 
 class TestBindUnix:
     def test_binds_fresh_path(self, tmp_path):
         path = str(tmp_path / "fresh.sock")
-        sock = bind_unix_socket(path, what="test")
+        sock = bind_unix_socket(path)
         try:
             probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             probe.connect(path)
@@ -73,15 +70,15 @@ class TestBindUnix:
         dead = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         dead.bind(path)
         dead.close()  # socket file remains, nobody listening
-        sock = bind_unix_socket(path, what="test")
+        sock = bind_unix_socket(path)
         sock.close()
 
     def test_live_socket_is_refused(self, tmp_path):
         path = str(tmp_path / "live.sock")
-        live = bind_unix_socket(path, what="test")
+        live = bind_unix_socket(path)
         try:
             with pytest.raises(ConfigError, match="live process"):
-                bind_unix_socket(path, what="test")
+                bind_unix_socket(path)
         finally:
             live.close()
 
@@ -89,103 +86,58 @@ class TestBindUnix:
         path = tmp_path / "notasocket"
         path.write_text("precious")
         with pytest.raises(ConfigError, match="not a socket"):
-            bind_unix_socket(str(path), what="test")
+            bind_unix_socket(str(path))
         assert path.read_text() == "precious"
 
 
-class TestDrainer:
-    def test_track_counts(self):
-        d = Drainer()
-        assert d.active == 0
-        with d.track():
-            assert d.active == 1
-        assert d.active == 0
-
-    def test_closed_refuses_new_entries(self):
-        d = Drainer()
-        d.close()
-        assert d.closed
-        with pytest.raises(ConfigError, match="draining"):
-            d.track().__enter__()
-
-    def test_wait_idle_immediate_when_idle(self):
-        d = Drainer()
-        assert d.wait_idle(timeout=0.1) is True
-
-    def test_wait_idle_blocks_until_exit(self):
-        d = Drainer()
-        entered = threading.Event()
-        release = threading.Event()
-
-        def holder():
-            with d.track():
-                entered.set()
-                release.wait(10.0)
-
-        t = threading.Thread(target=holder)
-        t.start()
-        assert entered.wait(10.0)
-        d.close()
-        assert d.wait_idle(timeout=0.05) is False  # still held
-        release.set()
-        assert d.wait_idle(timeout=10.0) is True
-        t.join(timeout=10.0)
-
-    def test_in_flight_request_finishes_before_drain(self):
-        """The ordering the telemetry/serve close() paths rely on."""
-        d = Drainer()
-        order = []
-        started = threading.Event()
-
-        def request():
-            with d.track():
-                started.set()
-                time.sleep(0.1)
-                order.append("request-done")
-
-        t = threading.Thread(target=request)
-        t.start()
-        assert started.wait(10.0)
-        d.close()
-        d.wait_idle(timeout=10.0)
-        order.append("drained")
-        t.join(timeout=10.0)
-        assert order == ["request-done", "drained"]
-
-
 class TestTelemetryServerDrain:
-    """The metrics server now drains in-flight requests on close."""
+    """The store-less telemetry host drains like any ``ServeApp``."""
+
+    @staticmethod
+    def _start():
+        from repro.serve import BackgroundServer, ServeApp, StoreRegistry
+
+        app = ServeApp(StoreRegistry([], cache_bytes=0), port=0, workers=1)
+        return BackgroundServer(app).start()
 
     def test_close_waits_for_in_flight_request(self):
         import urllib.request
 
-        from repro.observability.server import start_server
-
-        srv = start_server(0)
+        srv = self._start()
         try:
-            # A request mid-flight holds the drainer; close() must not
-            # kill the socket under it.
-            with urllib.request.urlopen(srv.url + "/metrics",
+            with urllib.request.urlopen(srv.app.url + "/metrics",
                                         timeout=5) as resp:
                 assert resp.status == 200
         finally:
             srv.close()
-        assert srv.drainer.closed
+        assert srv.app.draining
 
     def test_draining_server_returns_503(self):
-        from repro.observability.server import TelemetryServer
-
-        srv = TelemetryServer(0).start()
-        srv.drainer.close()  # simulate shutdown having begun
+        import asyncio
+        import http.client
         import json
-        import urllib.error
-        import urllib.request
+
+        srv = self._start()
+        conn = http.client.HTTPConnection(srv.app.host, srv.app.port,
+                                          timeout=5)
+
+        async def begin_drain():  # shutdown has begun, listener still up
+            srv.app._draining = True
 
         try:
-            with pytest.raises(urllib.error.HTTPError) as ei:
-                urllib.request.urlopen(srv.url + "/metrics", timeout=5)
-            assert ei.value.code == 503
-            assert json.loads(ei.value.read())["error"] \
-                == "server is draining"
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            assert resp.status == 200
+            resp.read()
+            # The next request on the kept-alive connection arrives
+            # while draining.
+            asyncio.run_coroutine_threadsafe(
+                begin_drain(), srv._loop).result(timeout=5)
+            conn.request("GET", "/metrics")
+            resp = conn.getresponse()
+            assert resp.status == 503
+            assert resp.getheader("Connection") == "close"
+            assert json.loads(resp.read())["error"] == "server is draining"
         finally:
+            conn.close()
             srv.close()

@@ -147,13 +147,13 @@ def test_untraced_parallel_map_overhead_under_one_percent():
 def test_server_not_started_costs_nothing():
     """With no telemetry server started there must be no server
     thread, no socket, and -- unless something else imported it -- not
-    even the server module."""
+    even the server module or asyncio."""
     import subprocess
     import sys as _sys
     import threading
 
     assert not [t for t in threading.enumerate()
-                if t.name == "repro-telemetry"]
+                if t.name == "dpz-serve-loop"]
     # A fresh interpreter importing the package and compressing must
     # never pull in the HTTP machinery.
     code = (
@@ -163,8 +163,8 @@ def test_server_not_started_costs_nothing():
         "from repro.core.config import DPZ_L\n"
         "DPZCompressor(DPZ_L).compress("
         "np.random.RandomState(0).rand(16, 16, 16).astype(np.float32))\n"
-        "assert 'repro.observability.server' not in sys.modules\n"
-        "assert 'http.server' not in sys.modules\n"
+        "assert 'repro.serve.app' not in sys.modules\n"
+        "assert 'asyncio' not in sys.modules\n"
     )
     proc = subprocess.run(
         [_sys.executable, "-c", code], capture_output=True, text=True,

@@ -27,6 +27,7 @@ class TestParseTarget:
         assert parse_target("/metrics").kind == "metrics"
         assert parse_target("/").kind == "metrics"
         assert parse_target("/metrics.json").kind == "metrics_json"
+        assert parse_target("/runs").kind == "runs"
         assert parse_target("/v1/stores").kind == "stores"
 
     def test_manifest_route(self):

@@ -6,6 +6,7 @@ import http.client
 import json
 import os
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from repro.serve import (
     ServeApp,
     ServeClient,
     StoreRegistry,
+    decode_region_frame,
 )
 from repro.serve.registry import parse_store_spec
 from repro.store import Store
@@ -75,9 +77,15 @@ class TestSpecParsing:
             StoreRegistry(["a/snap.dpzs", "b/snap.dpzs"],
                           cache_bytes=0)
 
-    def test_empty_registry_rejected(self):
-        with pytest.raises(ConfigError):
-            StoreRegistry([], cache_bytes=0)
+    def test_empty_registry_rejected(self, capsys):
+        # A store-less registry is legal (it backs the telemetry host);
+        # ``dpz serve`` itself still needs at least one store.
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve"])
+        assert "required: SPEC" in capsys.readouterr().err
+        assert StoreRegistry([], cache_bytes=0).aliases() == []
 
 
 class TestRoutes:
@@ -273,9 +281,75 @@ class TestLifecycle:
     def test_port_conflict_is_one_line_config_error(self, store_path):
         registry = StoreRegistry([store_path], cache_bytes=0)
         app = ServeApp(registry, port=0, workers=1)
-        with pytest.raises(ConfigError, match="cannot bind serve"):
-            ServeApp(StoreRegistry([store_path], cache_bytes=0),
-                     host=app.host, port=app.port, workers=1)
+        try:
+            with pytest.raises(ConfigError, match="cannot bind serve"):
+                other = ServeApp(StoreRegistry([store_path], cache_bytes=0),
+                                 host=app.host, port=app.port, workers=1)
+                other.close()
+        finally:
+            app.close()
+
+    def test_close_without_run_frees_port(self, store_path):
+        app = ServeApp(StoreRegistry([store_path], cache_bytes=0),
+                       port=0, workers=1)
+        app.close()
+        app.close()  # idempotent
+        # Rebinding the same port proves the listener was released.
+        again = ServeApp(StoreRegistry([store_path], cache_bytes=0),
+                         host=app.host, port=app.port, workers=1)
+        again.close()
+
+    def test_in_flight_request_completes_during_close(self, store_path,
+                                                      monkeypatch):
+        registry = StoreRegistry([store_path], cache_bytes=0)
+        app = ServeApp(registry, port=0, workers=1)
+        store = registry.get("snap")
+        entered, release = threading.Event(), threading.Event()
+        get_region = store.get_region
+
+        def held(name, region):
+            entered.set()
+            release.wait(10.0)
+            return get_region(name, region)
+
+        monkeypatch.setattr(store, "get_region", held)
+        srv = BackgroundServer(app).start()
+        conn = http.client.HTTPConnection(app.host, app.port, timeout=10)
+        closer = threading.Thread(target=srv.close)
+        try:
+            conn.request("GET", "/v1/stores/snap/fields/vx/region"
+                                "?slices=0:8,0:8,0:8")
+            assert entered.wait(10.0)
+            closer.start()
+            deadline = time.monotonic() + 10.0
+            while not app.draining and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert app.draining
+            # A request made after the drain starts is refused.
+            try:
+                late = http.client.HTTPConnection(app.host, app.port,
+                                                  timeout=5)
+                try:
+                    late.request("GET", "/healthz")
+                    assert late.getresponse().status == 503
+                finally:
+                    late.close()
+            except ConnectionError:
+                pass
+            release.set()
+            resp = conn.getresponse()
+            assert resp.status == 200
+            assert resp.getheader("Connection") == "close"
+            _, arr = decode_region_frame(resp.read())
+        finally:
+            release.set()
+            conn.close()
+            if closer.ident is not None:
+                closer.join(timeout=30.0)
+            srv.close()
+        assert not closer.is_alive()
+        local = Store.open(store_path).get_region("vx", (slice(0, 8),) * 3)
+        np.testing.assert_array_equal(arr, local)
 
     def test_unix_socket_roundtrip(self, store_path, tmp_path):
         sock = str(tmp_path / "dpz.sock")

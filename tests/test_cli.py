@@ -254,12 +254,13 @@ def test_top_once_renders_panels(capsys):
 
 def test_top_polls_a_telemetry_endpoint(capsys):
     from repro.observability import get_registry
-    from repro.observability.server import start_server
+    from repro.serve import BackgroundServer, ServeApp, StoreRegistry
 
     get_registry().clear()
     get_registry().counter("store.chunks.compressed").add(42)
-    with start_server(0) as srv:
-        assert main(["top", "--once", "--url", srv.url]) == 0
+    app = ServeApp(StoreRegistry([], cache_bytes=0), port=0, workers=1)
+    with BackgroundServer(app):
+        assert main(["top", "--once", "--url", app.url]) == 0
     out = capsys.readouterr().out
     assert "chunks compressed" in out and "42" in out
     get_registry().clear()
@@ -280,16 +281,19 @@ def test_top_unreachable_url_one_line_error(capsys):
     assert "cannot fetch" in err
 
 
+def _free_port() -> int:
+    import socket
+
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return int(sock.getsockname()[1])
+
+
 def test_top_listen_serves_while_rendering(capsys):
     import json as _json
     import urllib.request
 
-    from repro.observability.server import start_server
-
-    # Occupying a known free port first proves --listen binds its own.
-    probe = start_server(0)
-    port = probe.port
-    probe.close()
+    port = _free_port()
     assert main(["top", "--once", "--listen", str(port)]) == 0
     # The dashboard server is closed again on exit.
     with pytest.raises(urllib.error.URLError):
@@ -317,13 +321,9 @@ def test_metrics_port_env_serves_any_command(monkeypatch, capsys):
     import json as _json
     import urllib.request
 
-    # Trampoline: grab the URL from stderr mid-command is racy, so use
-    # a fixed ephemeral-range port that the probe trick reserves.
-    from repro.observability.server import start_server
-
-    probe = start_server(0)
-    port = probe.port
-    probe.close()
+    # Grabbing the URL from stderr mid-command is racy, so use a
+    # known free port.
+    port = _free_port()
     monkeypatch.setenv("DPZ_METRICS_PORT", str(port))
     assert main(["datasets"]) == 0
     captured = capsys.readouterr()
